@@ -146,6 +146,31 @@ func TestStoreReadWriteProperty(t *testing.T) {
 	}
 }
 
+// TestStoreSlabGrowthKeepsAliases writes across several slab boundaries
+// and checks that a slice Read returned early still aliases its word
+// afterwards: slabs are never moved.
+func TestStoreSlabGrowthKeepsAliases(t *testing.T) {
+	s := NewStore(2)
+	s.Write(7, []byte{1, 1})
+	early := s.Read(7)
+	const n = 3*slabWords + 5
+	for a := uint64(100); a < 100+n; a++ {
+		s.Write(a, []byte{byte(a), byte(a >> 8)})
+	}
+	if s.Populated() != n+1 {
+		t.Fatalf("Populated = %d, want %d", s.Populated(), n+1)
+	}
+	for a := uint64(100); a < 100+n; a++ {
+		if got := s.Read(a); got[0] != byte(a) || got[1] != byte(a>>8) {
+			t.Fatalf("word %d = %v after growth", a, got)
+		}
+	}
+	s.Write(7, []byte{9, 9})
+	if early[0] != 9 || &early[0] != &s.Read(7)[0] {
+		t.Fatalf("early slice %v no longer aliases the stored word", early)
+	}
+}
+
 func TestPresets(t *testing.T) {
 	ps := Presets()
 	if len(ps) < 4 {
