@@ -1,9 +1,8 @@
-// Benchmarks and guard tests for the internal/parallel execution
-// engine: per-cycle allocation behaviour of the multichannel Tick in
-// both modes, and the wall-clock speedup of the analysis sweep when
-// fanned across cores. Run with
+// Benchmark and guard test for the internal/parallel execution engine:
+// the wall-clock speedup of the analysis sweep when fanned across
+// cores. Run with
 //
-//	go test -bench='TickParallel|SweepSpeedup' -benchmem
+//	go test -bench=SweepSpeedup -benchmem
 package vpnm_test
 
 import (
@@ -11,44 +10,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/hw"
-	"repro/internal/multichannel"
-	"repro/internal/workload"
 )
-
-func benchMultichannelTick(b *testing.B, opts ...multichannel.Option) {
-	const channels = 4
-	m, err := multichannel.New(core.Config{Banks: 16, QueueDepth: 16, DelayRows: 64, WordBytes: 8, HashSeed: 9},
-		channels, 21, opts...)
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer m.Close()
-	// Read-only load: the uniform generator allocates fresh data slices
-	// for writes, which would mask the Tick path's own 0 allocs/op.
-	gen := workload.NewUniform(5, 0, 1, 0, 8)
-	b.ReportAllocs()
-	b.ResetTimer()
-	var done int
-	for i := 0; i < b.N; i++ {
-		// Offer up to one request per channel per cycle, then tick.
-		for j := 0; j < channels; j++ {
-			m.Read(gen.Next().Addr) //nolint:errcheck // a stalled slot is just lost offered load
-		}
-		done += len(m.Tick())
-	}
-	b.ReportMetric(float64(done)/float64(b.N), "comps/cycle")
-}
-
-// BenchmarkTickParallel compares the multichannel memory's per-cycle
-// cost with channel ticks run inline versus dispatched to the worker
-// pool. Both modes must hold 0 allocs/op; the parallel mode only wins
-// wall-clock when channels are wide enough to amortize the handoff.
-func BenchmarkTickParallel(b *testing.B) {
-	b.Run("sequential", func(b *testing.B) { benchMultichannelTick(b) })
-	b.Run("parallel", func(b *testing.B) { benchMultichannelTick(b, multichannel.Parallel(true)) })
-}
 
 func timeSweep(workers int) time.Duration {
 	g := hw.DefaultGrid(1.3)

@@ -35,9 +35,8 @@ func benchProbeTick(b *testing.B, probed bool) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	defer m.Close()
-	// Read-only load, as in BenchmarkTickParallel: write data slices
-	// would mask the probe path's own allocation behaviour.
+	// Read-only load: write data slices would mask the probe path's own
+	// allocation behaviour.
 	gen := workload.NewUniform(5, 0, 1, 0, 8)
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -51,8 +50,8 @@ func benchProbeTick(b *testing.B, probed bool) {
 	b.ReportMetric(float64(done)/float64(b.N), "comps/cycle")
 }
 
-// BenchmarkProbeOverhead measures the same 4-channel tick loop as
-// BenchmarkTickParallel with no probe (the seed configuration —
+// BenchmarkProbeOverhead measures a 4-channel tick loop at one offered
+// read per channel per cycle with no probe (the seed configuration —
 // benchgate fails the build if this regresses) and with a full MemProbe
 // plus MTS estimator on every channel. Both paths must hold 0
 // allocs/op.

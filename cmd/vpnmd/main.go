@@ -108,7 +108,6 @@ func main() {
 		window   = flag.Int("window", server.DefaultWindow, "per-connection request window before TCP backpressure")
 		policy   = flag.String("policy", "backpressure", "stall policy: retry | drop | backpressure (drop surfaces stalls to clients)")
 		attempts = flag.Int("attempts", 0, "max hold-and-retry attempts per stalled request (0: default)")
-		tick     = flag.Duration("tick", 0, "wall-clock tick interval (0: free-running clock)")
 		ooo      = flag.Bool("ooo", false, "out-of-order cross-channel issue: park blocked heads per channel and issue the oldest issuable request on every channel each cycle")
 		oooDepth = flag.Int("ooo-depth", 0, "per-channel pending ring depth for -ooo (0: default)")
 		quiet    = flag.Bool("q", false, "suppress connection lifecycle logging")
@@ -205,7 +204,6 @@ func main() {
 		OOODepth:     *oooDepth,
 		Metrics:      reg,
 		WriteTimeout: *wtimeout,
-		TickInterval: *tick,
 		Logf:         logf,
 		PoolCheck:    *poolchk,
 	})

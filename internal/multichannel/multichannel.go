@@ -21,7 +21,6 @@ import (
 	"repro/internal/coded"
 	"repro/internal/core"
 	"repro/internal/hash"
-	"repro/internal/parallel"
 	"repro/internal/telemetry"
 )
 
@@ -42,51 +41,23 @@ type Memory struct {
 
 	reads, writes, busy uint64
 
-	// Completion staging. Each channel ticks into its own pre-sized
-	// buffer (at most one completion per channel per cycle), and Tick
-	// merges the buffers into comps in channel order — the same order
-	// the sequential loop produces, which is what makes the parallel
-	// path cycle-for-cycle identical to the sequential one. All slices
-	// are reused across ticks, so the steady state allocates nothing.
-	comps   []core.Completion
-	perChan [][]core.Completion
-
-	// Parallel dispatch. The C controllers share no state, so their
-	// ticks can run concurrently; pool is nil in sequential mode.
-	// tickFn is the method value bound once at construction — binding
-	// it per Tick would allocate a closure on every cycle.
-	pool   *parallel.Pool
-	tickFn func(int)
+	// comps collects a cycle's completions in channel order; it is sized
+	// for the per-cycle ceiling and reused across ticks, so the steady
+	// state allocates nothing.
+	comps []core.Completion
 }
 
 // Option configures optional Memory behaviour.
 type Option func(*options)
 
 type options struct {
-	parallel bool
-	workers  int
-	probes   func(ch int) telemetry.Probe
-	tracers  func(ch int) core.Tracer
+	probes  func(ch int) telemetry.Probe
+	tracers func(ch int) core.Tracer
 }
-
-// Parallel dispatches the per-channel work of every Tick across a
-// persistent worker pool when on is true. The channels are fully
-// independent controllers, so parallel execution is exact: completions,
-// tags, statistics and timing are cycle-for-cycle identical to the
-// sequential path at any worker count (the differential test pins
-// this). Memories with a pool hold worker goroutines; call Close when
-// done with the Memory.
-func Parallel(on bool) Option { return func(o *options) { o.parallel = on } }
-
-// PoolWorkers bounds the tick pool size; <= 0 (the default) selects
-// GOMAXPROCS. It has no effect without Parallel(true).
-func PoolWorkers(n int) Option { return func(o *options) { o.workers = n } }
 
 // WithProbes attaches a telemetry probe to each channel's controller: f
 // is called once per channel at construction and may return nil to
-// leave that channel unprobed. With Parallel(true) the probes are
-// updated from pool workers, so implementations must be safe for
-// concurrent use across channels (telemetry.MemProbe is).
+// leave that channel unprobed.
 func WithProbes(f func(ch int) telemetry.Probe) Option {
 	return func(o *options) { o.probes = f }
 }
@@ -114,15 +85,13 @@ func New(cfg core.Config, channels int, seed uint64, opts ...Option) (*Memory, e
 	for 1<<bits < channels {
 		bits++
 	}
-	ports := cfg.Coded.ReadPorts()
 	m := &Memory{
 		sel:   hash.NewH3(bits, seed^0x5bd1e995),
 		mask:  uint64(channels - 1),
 		shift: uint(bits),
 		// Per-cycle completion ceilings scale with the coded read
 		// admission cap: each channel can deliver up to ReadPorts words.
-		comps:   make([]core.Completion, 0, channels*ports),
-		perChan: make([][]core.Completion, channels),
+		comps: make([]core.Completion, 0, channels*cfg.Coded.ReadPorts()),
 	}
 	for i := 0; i < channels; i++ {
 		c := cfg
@@ -138,26 +107,14 @@ func New(cfg core.Config, channels int, seed uint64, opts ...Option) (*Memory, e
 			return nil, err
 		}
 		m.chans = append(m.chans, ctrl)
-		m.perChan[i] = make([]core.Completion, 0, ports)
-	}
-	m.tickFn = m.tickChannel
-	if o.parallel && channels > 1 {
-		m.pool = parallel.NewPool(parallel.Workers(o.workers, channels))
 	}
 	return m, nil
 }
 
-// ParallelEnabled reports whether Tick dispatches across a worker pool.
-func (m *Memory) ParallelEnabled() bool { return m.pool != nil }
-
-// Close releases the tick pool's worker goroutines, if any. The Memory
-// itself stays usable (sequentially) after Close.
-func (m *Memory) Close() {
-	if m.pool != nil {
-		m.pool.Close()
-		m.pool = nil
-	}
-}
+// Close is a no-op: a Memory holds no goroutines or other resources. It
+// remains because the frozen benchmark module (benchmark/ladder.go)
+// calls it; it goes with the next change to that module.
+func (m *Memory) Close() {}
 
 // Channels reports the stripe width.
 func (m *Memory) Channels() int { return len(m.chans) }
@@ -275,37 +232,19 @@ func (m *Memory) Rekey(newSeed uint64) ([]core.Completion, error) {
 	return drained, nil
 }
 
-// Tick advances every channel one cycle and merges their completions
+// Tick advances every channel one cycle and collects their completions
 // (re-tagged with the channel id) in channel order. Up to Ports()
 // completions can arrive per cycle; each Data slice is valid until the
-// next Tick, as with a single controller. With the Parallel option the
-// channel ticks run concurrently on the pool; the merge order and every
-// completion are identical to the sequential path.
+// next Tick, as with a single controller.
 func (m *Memory) Tick() []core.Completion {
-	if m.pool != nil {
-		m.pool.Run(len(m.chans), m.tickFn)
-	} else {
-		for ch := range m.chans {
-			m.tickChannel(ch)
+	m.comps = m.comps[:0]
+	for ch, c := range m.chans {
+		for _, comp := range c.Tick() {
+			comp.Tag = comp.Tag<<m.shift | uint64(ch)
+			m.comps = append(m.comps, comp)
 		}
 	}
-	m.comps = m.comps[:0]
-	for ch := range m.chans {
-		m.comps = append(m.comps, m.perChan[ch]...)
-	}
 	return m.comps
-}
-
-// tickChannel advances one channel and stages its (re-tagged)
-// completions. Channels share no state, so distinct indices are safe to
-// run concurrently.
-func (m *Memory) tickChannel(ch int) {
-	buf := m.perChan[ch][:0]
-	for _, comp := range m.chans[ch].Tick() {
-		comp.Tag = comp.Tag<<m.shift | uint64(ch)
-		buf = append(buf, comp)
-	}
-	m.perChan[ch] = buf
 }
 
 // IdleCycles reports how many upcoming interface cycles are guaranteed

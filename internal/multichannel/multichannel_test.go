@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"math/rand/v2"
-	"sync"
 	"testing"
 
 	"repro/internal/core"
@@ -206,136 +205,31 @@ func TestWriteTooLongRejected(t *testing.T) {
 	}
 }
 
-// TestParallelTickDifferential drives a parallel and a sequential
-// Memory with the identical request stream and requires byte-identical
-// completions on every single cycle — parallel channel execution must
-// be exact, not approximate.
-func TestParallelTickDifferential(t *testing.T) {
-	const channels = 8
-	seq, err := New(cfg(), channels, 21)
-	if err != nil {
-		t.Fatal(err)
-	}
-	par, err := New(cfg(), channels, 21, Parallel(true))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer par.Close()
-	if !par.ParallelEnabled() || seq.ParallelEnabled() {
-		t.Fatal("parallel option not wired")
-	}
-	rng := rand.New(rand.NewPCG(8, 15))
-	for cycle := 0; cycle < 5000; cycle++ {
-		// Up to `channels` issue attempts per cycle, mixed reads and
-		// writes; both memories must accept/refuse identically.
-		for j := 0; j < channels; j++ {
-			addr := rng.Uint64() >> 16
-			if rng.IntN(4) == 0 {
-				data := []byte{byte(addr), byte(cycle)}
-				errS := seq.Write(addr, data)
-				errP := par.Write(addr, data)
-				if (errS == nil) != (errP == nil) || (errS != nil && errS.Error() != errP.Error()) {
-					t.Fatalf("cycle %d: write divergence: %v vs %v", cycle, errS, errP)
-				}
-			} else {
-				tagS, errS := seq.Read(addr)
-				tagP, errP := par.Read(addr)
-				if (errS == nil) != (errP == nil) || tagS != tagP {
-					t.Fatalf("cycle %d: read divergence: tag %d/%v vs %d/%v", cycle, tagS, errS, tagP, errP)
-				}
-			}
-		}
-		cs, cp := seq.Tick(), par.Tick()
-		if len(cs) != len(cp) {
-			t.Fatalf("cycle %d: %d vs %d completions", cycle, len(cs), len(cp))
-		}
-		for i := range cs {
-			a, b := cs[i], cp[i]
-			if a.Tag != b.Tag || a.Addr != b.Addr || a.IssuedAt != b.IssuedAt ||
-				a.DeliveredAt != b.DeliveredAt || !bytes.Equal(a.Data, b.Data) ||
-				(a.Err == nil) != (b.Err == nil) {
-				t.Fatalf("cycle %d completion %d: %+v vs %+v", cycle, i, a, b)
-			}
-		}
-	}
-	rs, ws, bs, ss := seq.Stats()
-	rp, wp, bp, sp := par.Stats()
-	if rs != rp || ws != wp || bs != bp || ss != sp {
-		t.Fatalf("stats diverge: seq %d/%d/%d/%d vs par %d/%d/%d/%d", rs, ws, bs, ss, rp, wp, bp, sp)
-	}
-	if seq.Outstanding() != par.Outstanding() {
-		t.Fatalf("outstanding diverge: %d vs %d", seq.Outstanding(), par.Outstanding())
-	}
-}
-
 // TestTickAllocationFree pins the comps-slice lifecycle fix: once warm,
-// a Tick allocates nothing — sequential or parallel — even when every
-// channel delivers a completion on the same cycle.
+// a Tick allocates nothing, even when every channel delivers a
+// completion on the same cycle.
 func TestTickAllocationFree(t *testing.T) {
-	for _, mode := range []struct {
-		name string
-		opts []Option
-	}{
-		{"sequential", nil},
-		{"parallel", []Option{Parallel(true)}},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			m, err := New(cfg(), 4, 5, mode.opts...)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("sequential", func(t *testing.T) {
+		m, err := New(cfg(), 4, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewPCG(9, 9))
+		issue := func() {
+			for j := 0; j < 4; j++ {
+				m.Read(rng.Uint64() >> 20) //nolint:errcheck // stalls just waste the slot
 			}
-			defer m.Close()
-			rng := rand.New(rand.NewPCG(9, 9))
-			issue := func() {
-				for j := 0; j < 4; j++ {
-					m.Read(rng.Uint64() >> 20) //nolint:errcheck // stalls just waste the slot
-				}
-			}
-			for c := 0; c < 2000; c++ { // warm up: fill pipelines and buffers
-				issue()
-				m.Tick()
-			}
-			allocs := testing.AllocsPerRun(500, func() {
-				issue()
-				m.Tick()
-			})
-			if allocs != 0 {
-				t.Fatalf("steady-state tick allocates %.2f objects/cycle, want 0", allocs)
-			}
+		}
+		for c := 0; c < 2000; c++ { // warm up: fill pipelines and buffers
+			issue()
+			m.Tick()
+		}
+		allocs := testing.AllocsPerRun(500, func() {
+			issue()
+			m.Tick()
 		})
-	}
-}
-
-// TestParallelTickConcurrentMemories hammers several parallel memories
-// from concurrent goroutines (one memory per goroutine, as the
-// single-clock contract requires) under -race.
-func TestParallelTickConcurrentMemories(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 4; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			m, err := New(cfg(), 4, uint64(g)+1, Parallel(true))
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			defer m.Close()
-			rng := rand.New(rand.NewPCG(uint64(g), 7))
-			delivered := 0
-			for c := 0; c < 3000; c++ {
-				for j := 0; j < 4; j++ {
-					m.Read(rng.Uint64() >> 16) //nolint:errcheck // stalls just waste the slot
-				}
-				delivered += len(m.Tick())
-			}
-			for m.Outstanding() > 0 {
-				delivered += len(m.Tick())
-			}
-			if delivered == 0 {
-				t.Errorf("memory %d delivered nothing", g)
-			}
-		}(g)
-	}
-	wg.Wait()
+		if allocs != 0 {
+			t.Fatalf("steady-state tick allocates %.2f objects/cycle, want 0", allocs)
+		}
+	})
 }

@@ -1,23 +1,19 @@
 // Package parallel is the bounded worker-pool execution engine behind
-// every fan-out in this repository. The structures it accelerates are
-// embarrassingly parallel by construction: the C channels of a
-// multichannel memory share no state (each owns its banks, queues and
-// delay buffers), and the trials of an MTS sweep, Pareto exploration,
-// Monte Carlo validation or chaos batch are independent simulations
-// with independent seeds. Because the tasks are independent, parallel
-// execution is *exact*, not approximate — the engine guarantees that
-// results are returned in task order regardless of worker count, so a
-// sweep at 1 worker and at GOMAXPROCS workers is byte-identical.
+// every fan-out in this repository. The work it accelerates is
+// embarrassingly parallel by construction: the trials of an MTS sweep,
+// Pareto exploration, Monte Carlo validation or chaos batch are
+// independent simulations with independent seeds. Because the tasks are
+// independent, parallel execution is *exact*, not approximate — the
+// engine guarantees that results are returned in task order regardless
+// of worker count, so a sweep at 1 worker and at GOMAXPROCS workers is
+// byte-identical.
 //
-// Two entry points cover the two shapes of work:
-//
-//   - Sweep runs n one-shot tasks (simulation runs, grid points,
-//     trials) across a bounded pool spawned for the call, with context
-//     cancellation and first-error propagation.
-//   - Pool is a persistent pool for repeated small fan-outs on a hot
-//     path — the per-cycle channel dispatch in multichannel.Memory —
-//     where spawning goroutines every call would dominate. Its Run
-//     path performs no allocations.
+// Sweep is the one entry point: it runs n one-shot tasks (simulation
+// runs, grid points, trials) across a bounded pool spawned for the
+// call, with context cancellation and first-error propagation. Work
+// that repeats every interface cycle (the per-channel ticks of
+// multichannel.Memory) stays a plain loop: a hand-off to another
+// goroutine costs more than a channel tick.
 package parallel
 
 import (
@@ -153,101 +149,3 @@ func (e *TaskError) Error() string { return fmt.Sprintf("parallel: task %d: %v",
 
 // Unwrap exposes the task's underlying error to errors.Is/As.
 func (e *TaskError) Unwrap() error { return e.Err }
-
-// Pool is a persistent worker pool for repeated fan-outs over small
-// task sets — the per-interface-cycle channel dispatch in
-// multichannel.Memory, where a pool spawned per Tick would cost more
-// than the work. Workers are started once and parked between runs; the
-// Run path itself allocates nothing.
-//
-// A Pool is safe to share between sequential Runs but a single Run must
-// have exclusive use: like the single-ported hardware it accelerates,
-// Run is not safe for concurrent use on one Pool. Callers that tick
-// several memories concurrently give each its own Pool.
-type Pool struct {
-	workers int
-	fn      func(int) // task body for the current run
-	n       int64     // task count for the current run
-	next    atomic.Int64
-	start   chan struct{} // one token wakes one worker
-	done    chan struct{} // one token per worker that finished draining
-	quit    chan struct{}
-	once    sync.Once
-}
-
-// NewPool starts a pool of the given size; workers <= 0 selects
-// runtime.GOMAXPROCS(0). Close releases the worker goroutines.
-func NewPool(workers int) *Pool {
-	workers = Workers(workers, 0)
-	p := &Pool{
-		workers: workers,
-		start:   make(chan struct{}, workers),
-		done:    make(chan struct{}, workers),
-		quit:    make(chan struct{}),
-	}
-	for i := 0; i < workers; i++ {
-		go p.worker()
-	}
-	return p
-}
-
-// Workers reports the pool size.
-func (p *Pool) Workers() int { return p.workers }
-
-func (p *Pool) worker() {
-	for {
-		select {
-		case <-p.quit:
-			return
-		case <-p.start:
-		}
-		// The channel receive orders this read after Run's writes.
-		n, fn := p.n, p.fn
-		for {
-			i := p.next.Add(1) - 1
-			if i >= n {
-				break
-			}
-			fn(int(i))
-		}
-		p.done <- struct{}{}
-	}
-}
-
-// Run executes fn(i) for every i in [0, n) on the pool and returns when
-// all n calls have completed. Work is claimed dynamically (an atomic
-// counter), so an expensive task does not serialize the cheap ones.
-// fn must be safe to call concurrently for distinct i. Run allocates
-// nothing; callers on a hot path should pass a pre-bound fn rather than
-// a fresh closure (a method value created at the call site allocates).
-func (p *Pool) Run(n int, fn func(int)) {
-	if n <= 0 {
-		return
-	}
-	if n == 1 || p.workers == 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	p.fn = fn
-	p.n = int64(n)
-	p.next.Store(0)
-	w := p.workers
-	if w > n {
-		w = n
-	}
-	for i := 0; i < w; i++ {
-		p.start <- struct{}{}
-	}
-	for i := 0; i < w; i++ {
-		<-p.done
-	}
-	p.fn = nil
-}
-
-// Close shuts the pool down; parked workers exit. Close is idempotent
-// and must not race a Run.
-func (p *Pool) Close() {
-	p.once.Do(func() { close(p.quit) })
-}

@@ -133,53 +133,6 @@ func TestWorkers(t *testing.T) {
 	}
 }
 
-func TestPoolRunCoversAllTasks(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	for _, n := range []int{1, 2, 3, 4, 7, 64, 1000} {
-		hits := make([]atomic.Int32, n)
-		p.Run(n, func(i int) { hits[i].Add(1) })
-		for i := range hits {
-			if got := hits[i].Load(); got != 1 {
-				t.Fatalf("n=%d: task %d ran %d times", n, i, got)
-			}
-		}
-	}
-}
-
-func TestPoolReuse(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	var sum atomic.Int64
-	for round := 0; round < 100; round++ {
-		p.Run(10, func(i int) { sum.Add(int64(i)) })
-	}
-	if got := sum.Load(); got != 100*45 {
-		t.Fatalf("sum = %d, want %d", got, 100*45)
-	}
-}
-
-func TestPoolCloseIdempotent(t *testing.T) {
-	p := NewPool(2)
-	p.Run(4, func(int) {})
-	p.Close()
-	p.Close()
-}
-
-// TestPoolRunAllocationFree pins the hot-path contract: dispatching a
-// fan-out on a warm pool performs zero allocations.
-func TestPoolRunAllocationFree(t *testing.T) {
-	p := NewPool(4)
-	defer p.Close()
-	var sink atomic.Int64
-	fn := func(i int) { sink.Add(int64(i)) }
-	p.Run(8, fn) // warm up
-	allocs := testing.AllocsPerRun(100, func() { p.Run(8, fn) })
-	if allocs != 0 {
-		t.Fatalf("Pool.Run allocates %.1f objects per call, want 0", allocs)
-	}
-}
-
 // TestSweepHammer drives many concurrent Sweep calls (each with its own
 // worker set) under the race detector; cross-call state is an atomic.
 func TestSweepHammer(t *testing.T) {
@@ -210,31 +163,6 @@ func TestSweepHammer(t *testing.T) {
 	if total.Load() != 8*20*50 {
 		t.Fatalf("total %d", total.Load())
 	}
-}
-
-// TestPoolHammer runs several pools concurrently (one per goroutine, as
-// multichannel memories do) under the race detector.
-func TestPoolHammer(t *testing.T) {
-	var wg sync.WaitGroup
-	for g := 0; g < 6; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			p := NewPool(3)
-			defer p.Close()
-			counts := make([]int64, 16)
-			for round := 0; round < 200; round++ {
-				p.Run(len(counts), func(i int) { counts[i]++ })
-			}
-			for i, c := range counts {
-				if c != 200 {
-					t.Errorf("slot %d ran %d times, want 200", i, c)
-					return
-				}
-			}
-		}()
-	}
-	wg.Wait()
 }
 
 func ExampleSweep() {

@@ -144,11 +144,6 @@ type Config struct {
 	// window so they never block waiting for a completion that only a
 	// future frame's ticks (or an OpFlush) would deliver.
 	Lockstep bool
-	// TickInterval, when positive, paces the clock in wall time: one
-	// interface cycle per interval, work or no work. Zero selects the
-	// free-running source, which ticks as fast as the host allows while
-	// work is pending and parks the clock when idle.
-	TickInterval time.Duration
 	// PoolCheck arms the buffer pool's leak/double-put detector: every
 	// pooled buffer (request payloads, completion payloads, outgoing
 	// frames) is tracked by identity, and PoolClean reports whether the
@@ -677,14 +672,10 @@ func (e *Engine) checkDrained() {
 	}
 }
 
-// loop is the engine's clock: one iteration per interface cycle.
+// loop is the engine's clock: one iteration per interface cycle, as fast
+// as the host allows while work is pending, parked when idle.
 func (e *Engine) loop() {
 	defer close(e.loopDone)
-	var tick *time.Ticker
-	if e.cfg.TickInterval > 0 {
-		tick = time.NewTicker(e.cfg.TickInterval)
-		defer tick.Stop()
-	}
 	for {
 		if e.cfg.Lockstep {
 			// Admit the next frame only once the previous one's queue is
@@ -716,13 +707,6 @@ func (e *Engine) loop() {
 				return
 			}
 			continue
-		}
-		if tick != nil {
-			select {
-			case <-tick.C:
-			case <-e.done:
-				return
-			}
 		}
 		e.step()
 		select {
@@ -770,36 +754,31 @@ func (e *Engine) step() {
 	e.mu.Unlock()
 
 	if n := len(sessions); n > 0 {
+		// Up to Ports() requests can be accepted per cycle (one per
+		// channel, times the coded read-port count when XOR-parity bank
+		// groups are on). In order they are spent here: round-robin across
+		// sessions, FIFO within one, sweeping again while somebody makes
+		// progress. Out of order the Stage's sweep spends them; the
+		// sessions only park queue heads in the per-channel pending rings
+		// first — one pass, since nothing frees ring room before the
+		// sweep, quota-bounded so no session can squat the whole stage.
+		budget, quota := e.ports, 1
 		if e.ooo != nil {
-			// Out-of-order issue: drain session queue heads into the
-			// per-channel pending rings (round-robin across sessions,
-			// FIFO within one, quota-bounded so no session can squat the
-			// whole stage), then issue the oldest issuable request on
-			// every channel.
-			quota := e.ooo.Cap() / n
-			if quota < e.ports {
-				quota = e.ports
-			}
-			for i := 0; i < n; i++ {
-				e.admitFrom(sessions[(rr+i)%n], quota)
-			}
-			e.ooo.Sweep()
-		} else {
-			// In-order issue: up to Ports() read requests can be accepted
-			// per cycle (one per channel, times the coded read-port count
-			// when XOR-parity bank groups are on). Round-robin across
-			// sessions, FIFO within one; keep sweeping while somebody
-			// makes progress.
-			budget := e.ports
-			progress := true
-			for budget > 0 && progress {
-				progress = false
-				for i := 0; i < n && budget > 0; i++ {
-					if e.issueFrom(sessions[(rr+i)%n], &budget) {
-						progress = true
-					}
+			quota = max(e.ooo.Cap()/n, e.ports)
+		}
+		for {
+			progress := false
+			for i := 0; i < n && budget > 0; i++ {
+				if e.issueFrom(sessions[(rr+i)%n], &budget, quota) {
+					progress = true
 				}
 			}
+			if !progress || budget == 0 || e.ooo != nil {
+				break
+			}
+		}
+		if e.ooo != nil {
+			e.ooo.Sweep()
 		}
 	}
 
@@ -871,13 +850,12 @@ func (e *Engine) noteOut(s *session) {
 // from D engine iterations into one. Tenant buckets refill across the
 // skip exactly as if the cycles had been ticked one at a time.
 //
-// Only the free-running clock skips: a paced clock (TickInterval > 0)
-// owes the wall-clock wait, and a stalled, throttled or retryable queue
-// head means the next cycle could accept work, so nothing is skipped
-// (hold-and-retry re-presentation still happens every cycle, keeping
-// MaxAttempts and refill accounting exact).
+// A stalled, throttled or retryable queue head means the next cycle
+// could accept work, so nothing is skipped (hold-and-retry
+// re-presentation still happens every cycle, keeping MaxAttempts and
+// refill accounting exact).
 func (e *Engine) skipIdleSpan(sessions []*session) {
-	if e.cfg.TickInterval > 0 || e.outstanding.Load() == 0 || e.stageTot.Load() != 0 {
+	if e.outstanding.Load() == 0 || e.stageTot.Load() != 0 {
 		return
 	}
 	for _, s := range sessions {
@@ -927,212 +905,29 @@ func (e *Engine) prune(sessions []*session) {
 	e.mu.Unlock()
 }
 
-// issueFrom drains the head of one session's queue into the memory
-// until the queue empties, the head must wait for a later cycle, or the
-// cycle's budget runs out. It reports whether any request was resolved.
-func (e *Engine) issueFrom(s *session, budget *int) bool {
+// issueFrom drains the head of one session's queue until the queue
+// empties, the head must wait for a later cycle (a flush barrier, a
+// throttle hold, a busy channel or a full channel ring), or the cycle's
+// budget runs out. The two issue modes differ in one branch: in order a
+// read or write is presented to the memory here and spends budget when
+// accepted; out of order it is parked in the Stage, whose sweep presents
+// it (oooSink hears the answer), and the session stops at its quota of
+// parked requests — the fairness rule: a session can reorder ahead of
+// its own later requests, never squat the whole stage and starve another
+// session's channels. It reports whether the queue moved.
+func (e *Engine) issueFrom(s *session, budget *int, quota int) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.closed {
 		return false
 	}
 	progress := false
-	for *budget > 0 && s.head < len(s.pending) {
+	for *budget > 0 && s.head < len(s.pending) && s.inStage < quota {
 		req := &s.pending[s.head]
-		if s.tenant != nil && !req.paid && (req.op == wire.OpRead || req.op == wire.OpWrite) {
-			// Tenant admission gate: one token per request, charged once
-			// (a head later held by a memory stall is not re-charged).
-			// Refusals consume no channel budget — a throttled tenant
-			// cannot congest the cycle for anyone else.
-			cyc := e.cycle.Load()
-			if s.thrCycle == cyc && s.thrSeq == req.seq {
-				return progress // already refused this cycle; hold
-			}
-			if !s.tenant.TryIssue() {
-				s.thrCycle, s.thrSeq = cyc, req.seq
-				if !e.throttledHead(s, req) {
-					return progress
-				}
-				progress = true
-				continue
-			}
-			req.paid = true
-		}
 		switch req.op {
 		case wire.OpStats:
 			s.stageStats(e.statsFor(req.seq))
 			e.noteOut(s)
-			s.popLocked()
-			progress = true
-		case wire.OpFlush:
-			if s.outstanding > 0 {
-				return progress // barrier: wait for completions
-			}
-			e.ctr.flushes.Add(1)
-			s.stageReply(wire.Reply{Status: wire.StatusFlushed, Seq: req.seq})
-			e.noteOut(s)
-			s.popLocked()
-			progress = true
-		case wire.OpRead:
-			tag, err := e.mem.Read(req.addr)
-			if err == nil {
-				e.recordRoute(tag, s, req.seq, req.enq)
-				s.outstanding++
-				e.outstanding.Add(1)
-				e.ctr.reads.Add(1)
-				s.popLocked()
-				*budget--
-				progress = true
-				continue
-			}
-			if !e.refused(s, req, err) {
-				return progress
-			}
-			progress = true
-		case wire.OpWrite:
-			err := e.mem.Write(req.addr, req.data)
-			if err == nil {
-				// The controller copied the payload on accept; the pooled
-				// buffer's work is done.
-				e.pool.Put(req.data)
-				req.data = nil
-				e.ctr.writes.Add(1)
-				if s.resumable() {
-					s.resolveLocked(req.seq)
-					s.rememberLocked(req.seq, doneEntry{write: true})
-				}
-				s.stageReply(wire.Reply{Status: wire.StatusAccepted, Seq: req.seq})
-				e.noteOut(s)
-				s.popLocked()
-				*budget--
-				progress = true
-				continue
-			}
-			if !e.refused(s, req, err) {
-				return progress
-			}
-			progress = true
-		default:
-			// The decoder validates opcodes; anything else is a bug.
-			panic(fmt.Sprintf("server: unknown queued opcode %d", req.op))
-		}
-	}
-	return progress
-}
-
-// throttledHead handles a queue head whose tenant was refused a token,
-// mirroring refused(): under DropWithAccounting the refusal surfaces
-// immediately as StatusStall/CodeThrottled and the client's recovery
-// policy decides; otherwise the head is held and re-presented — charged
-// one refusal per cycle — until the bucket refills or MaxAttempts drops
-// it. It reports true when the request was resolved (popped with a
-// reply). Called with s.mu held.
-func (e *Engine) throttledHead(s *session, req *pendingReq) bool {
-	e.ctr.throttled.Add(1)
-	if e.cfg.Policy == recovery.DropWithAccounting {
-		e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusStall, Code: wire.CodeThrottled, Seq: req.seq})
-		return true
-	}
-	req.attempts++
-	if req.attempts >= e.cfg.MaxAttempts {
-		e.ctr.dropped.Add(1)
-		e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeThrottled, Seq: req.seq})
-		return true
-	}
-	return false
-}
-
-// resolveHeadLocked retires the queue head with a terminal reply:
-// forget the live seq, return the pooled payload, stage the verdict and
-// pop. Called with s.mu held.
-func (e *Engine) resolveHeadLocked(s *session, req *pendingReq, rep wire.Reply) {
-	if s.resumable() {
-		s.resolveLocked(req.seq)
-	}
-	e.pool.Put(req.data)
-	req.data = nil
-	s.stageReply(rep)
-	e.noteOut(s)
-	s.popLocked()
-}
-
-// refused handles a Read/Write the memory did not accept. It reports
-// true when the request was resolved (popped with a reply) and false
-// when it stays at the queue head for a later cycle. Called with s.mu
-// held.
-func (e *Engine) refused(s *session, req *pendingReq, err error) bool {
-	switch {
-	case err == multichannel.ErrChannelBusy:
-		// Same-cycle channel collision — the interface analogue of a
-		// bank conflict. Absorb it: retry next cycle, no accounting
-		// toward the stall budget.
-		e.ctr.busy.Add(1)
-		return false
-	case core.IsStall(err):
-		if e.cfg.Policy == recovery.DropWithAccounting {
-			e.ctr.stalls.Add(1)
-			e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusStall, Code: wire.CodeOf(err), Seq: req.seq})
-			return true
-		}
-		req.attempts++
-		if req.attempts >= e.cfg.MaxAttempts {
-			e.ctr.dropped.Add(1)
-			e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOf(err), Seq: req.seq})
-			return true
-		}
-		e.ctr.stallRetries.Add(1)
-		return false
-	default:
-		// Malformed request (e.g. data wider than the memory word):
-		// drop it with accounting rather than kill the connection.
-		e.logf("server: dropping request seq %d: %v", req.seq, err)
-		e.ctr.dropped.Add(1)
-		e.resolveHeadLocked(s, req, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOther, Seq: req.seq})
-		return true
-	}
-}
-
-// admitFrom drains the head of one session's queue into the
-// out-of-order stage until the queue empties, the head must wait (a
-// flush barrier, a throttle hold, a full channel ring), or the session
-// reaches its per-cycle stage quota — the fairness rule: one session
-// can reorder ahead of its own later requests, never squat the whole
-// stage and starve another session's channels. The tenant token is
-// charged HERE, at admission, so a throttled head never occupies stage
-// space another tenant could use. It reports whether any request was
-// admitted or resolved.
-func (e *Engine) admitFrom(s *session, quota int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.closed {
-		return false
-	}
-	progress := false
-	for s.head < len(s.pending) && s.inStage < quota {
-		req := &s.pending[s.head]
-		if s.tenant != nil && !req.paid && (req.op == wire.OpRead || req.op == wire.OpWrite) {
-			// Same admission gate as issueFrom: one token per request,
-			// charged once, one refusal per cycle.
-			cyc := e.cycle.Load()
-			if s.thrCycle == cyc && s.thrSeq == req.seq {
-				return progress
-			}
-			if !s.tenant.TryIssue() {
-				s.thrCycle, s.thrSeq = cyc, req.seq
-				if !e.throttledHead(s, req) {
-					return progress
-				}
-				progress = true
-				continue
-			}
-			req.paid = true
-		}
-		switch req.op {
-		case wire.OpStats:
-			s.stageStats(e.statsFor(req.seq))
-			e.noteOut(s)
-			s.popLocked()
-			progress = true
 		case wire.OpFlush:
 			if s.inStage > 0 || s.outstanding > 0 {
 				return progress // barrier: wait for the stage and completions
@@ -1140,30 +935,77 @@ func (e *Engine) admitFrom(s *session, quota int) bool {
 			e.ctr.flushes.Add(1)
 			s.stageReply(wire.Reply{Status: wire.StatusFlushed, Seq: req.seq})
 			e.noteOut(s)
-			s.popLocked()
-			progress = true
 		case wire.OpRead, wire.OpWrite:
-			if !e.ooo.Room(e.mem.Channel(req.addr)) {
-				return progress // channel ring full; re-offer after a sweep
+			write := req.op == wire.OpWrite
+			var tag uint64
+			var err error
+			if s.tenant != nil && !req.paid {
+				// Tenant admission gate: one token per request, charged once
+				// (a head later held by a memory stall is not re-charged),
+				// refused once per cycle however often the sweep revisits
+				// the session. A refusal consumes no channel budget and no
+				// stage slot — a throttled tenant cannot congest the cycle
+				// for anyone else.
+				cyc := e.cycle.Load()
+				if s.thrCycle == cyc && s.thrSeq == req.seq {
+					return progress // already refused this cycle; hold
+				}
+				if req.paid = s.tenant.TryIssue(); !req.paid {
+					s.thrCycle, s.thrSeq = cyc, req.seq
+					err = qos.ErrThrottled
+				}
 			}
-			idx := e.oooFree[len(e.oooFree)-1]
-			e.oooFree = e.oooFree[:len(e.oooFree)-1]
-			e.oooSlots[idx] = oooSlot{s: s, seq: req.seq, enq: req.enq, attempts: req.attempts}
-			e.ooo.Admit(multichannel.Pending{
-				Addr:   req.addr,
-				Data:   req.data,
-				Cookie: uint64(idx),
-				Write:  req.op == wire.OpWrite,
-			})
+			switch {
+			case err != nil:
+				// Refused at the gate: nothing to present.
+			case e.ooo != nil:
+				if !e.ooo.Room(e.mem.Channel(req.addr)) {
+					return progress // channel ring full; re-offer after a sweep
+				}
+				idx := e.oooFree[len(e.oooFree)-1]
+				e.oooFree = e.oooFree[:len(e.oooFree)-1]
+				e.oooSlots[idx] = oooSlot{s: s, seq: req.seq, enq: req.enq, attempts: req.attempts}
+				e.ooo.Admit(multichannel.Pending{
+					Addr:   req.addr,
+					Data:   req.data,
+					Cookie: uint64(idx),
+					Write:  write,
+				})
+				req.data = nil
+				s.inStage++
+				e.stageTot.Add(1)
+				s.popLocked()
+				progress = true
+				continue
+			case write:
+				err = e.mem.Write(req.addr, req.data)
+			default:
+				tag, err = e.mem.Read(req.addr)
+			}
+			switch {
+			case err == nil:
+				e.acceptedLocked(s, req.seq, req.enq, tag, req.data, write)
+				*budget--
+			case err == multichannel.ErrChannelBusy:
+				// Same-cycle channel collision — the interface analogue of a
+				// bank conflict. Absorb it: retry next cycle, no accounting
+				// toward the stall budget.
+				e.ctr.busy.Add(1)
+				return progress
+			default:
+				rep, terminal := e.verdict(err, &req.attempts, req.seq)
+				if !terminal {
+					return progress
+				}
+				e.retireLocked(s, req.seq, req.data, rep)
+			}
 			req.data = nil
-			s.inStage++
-			e.stageTot.Add(1)
-			s.popLocked()
-			progress = true
 		default:
 			// The decoder validates opcodes; anything else is a bug.
 			panic(fmt.Sprintf("server: unknown queued opcode %d", req.op))
 		}
+		s.popLocked()
+		progress = true
 	}
 	return progress
 }
@@ -1173,77 +1015,94 @@ func (e *Engine) admitFrom(s *session, quota int) bool {
 func (e *Engine) oooSink(p *multichannel.Pending, tag uint64, err error) bool {
 	slot := &e.oooSlots[p.Cookie]
 	s := slot.s
+	s.mu.Lock()
 	if err == nil {
-		if p.Write {
-			// The controller copied the payload on accept; the pooled
-			// buffer's work is done.
-			e.pool.Put(p.Data)
-			e.ctr.writes.Add(1)
-			s.mu.Lock()
-			s.inStage--
-			if s.resumable() {
-				s.resolveLocked(slot.seq)
-				s.rememberLocked(slot.seq, doneEntry{write: true})
-			}
-			s.stageReply(wire.Reply{Status: wire.StatusAccepted, Seq: slot.seq})
-			e.noteOut(s)
+		e.acceptedLocked(s, slot.seq, slot.enq, tag, p.Data, p.Write)
+	} else {
+		rep, terminal := e.verdict(err, &slot.attempts, slot.seq)
+		if !terminal {
 			s.mu.Unlock()
-		} else {
-			e.recordRoute(tag, s, slot.seq, slot.enq)
-			e.outstanding.Add(1)
-			e.ctr.reads.Add(1)
-			s.mu.Lock()
-			s.inStage--
-			s.outstanding++
-			s.mu.Unlock()
+			return false // held at its channel head for next cycle
 		}
-		e.freeSlot(uint32(p.Cookie))
-		return true
+		e.retireLocked(s, slot.seq, p.Data, rep)
 	}
-	if core.IsStall(err) {
-		if e.cfg.Policy == recovery.DropWithAccounting {
-			e.ctr.stalls.Add(1)
-			e.resolveStage(p, slot, wire.Reply{Status: wire.StatusStall, Code: wire.CodeOf(err), Seq: slot.seq})
-			return true
-		}
-		slot.attempts++
-		if slot.attempts >= e.cfg.MaxAttempts {
-			e.ctr.dropped.Add(1)
-			e.resolveStage(p, slot, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOf(err), Seq: slot.seq})
-			return true
-		}
-		e.ctr.stallRetries.Add(1)
-		return false // held at its channel head for next cycle
-	}
-	e.logf("server: dropping request seq %d: %v", slot.seq, err)
-	e.ctr.dropped.Add(1)
-	e.resolveStage(p, slot, wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOther, Seq: slot.seq})
+	s.inStage--
+	s.mu.Unlock()
+	*slot = oooSlot{}
+	e.oooFree = append(e.oooFree, uint32(p.Cookie))
+	e.stageTot.Add(-1)
 	return true
 }
 
-// resolveStage retires a staged request with a terminal reply — the
-// out-of-order mirror of resolveHeadLocked. Engine goroutine only.
-func (e *Engine) resolveStage(p *multichannel.Pending, slot *oooSlot, rep wire.Reply) {
-	s := slot.s
-	e.pool.Put(p.Data)
-	p.Data = nil
-	s.mu.Lock()
-	s.inStage--
-	if s.resumable() {
-		s.resolveLocked(slot.seq)
+// acceptedLocked books a request the memory accepted: a read's tag is
+// routed back to (s, seq) for delivery D cycles on, a write is
+// acknowledged at once. Called with s.mu held.
+func (e *Engine) acceptedLocked(s *session, seq, enq, tag uint64, data []byte, write bool) {
+	if !write {
+		e.recordRoute(tag, s, seq, enq)
+		s.outstanding++
+		e.outstanding.Add(1)
+		e.ctr.reads.Add(1)
+		return
 	}
-	s.stageReply(rep)
-	e.noteOut(s)
-	s.mu.Unlock()
-	e.freeSlot(uint32(p.Cookie))
+	e.ctr.writes.Add(1)
+	if s.resumable() {
+		s.rememberLocked(seq, doneEntry{write: true})
+	}
+	// The controller copied the payload on accept; the pooled buffer's
+	// work is done.
+	e.retireLocked(s, seq, data, wire.Reply{Status: wire.StatusAccepted, Seq: seq})
 }
 
-// freeSlot recycles one stage slot back to the freelist. Engine
-// goroutine only.
-func (e *Engine) freeSlot(idx uint32) {
-	e.oooSlots[idx] = oooSlot{}
-	e.oooFree = append(e.oooFree, idx)
-	e.stageTot.Add(-1)
+// verdict is the one refusal table: a tenant throttle, a controller
+// stall or a malformed request, crossed with the stall policy, yields
+// either the terminal reply to stage or (terminal false) a hold — the
+// request stays where it is and is re-presented next cycle, attempts
+// counting toward MaxAttempts. Under DropWithAccounting a stall or
+// throttle surfaces immediately as StatusStall and the client's recovery
+// policy decides. Throttle refusals count as throttled only, never as
+// memory stalls or stall retries.
+func (e *Engine) verdict(err error, attempts *int, seq uint64) (rep wire.Reply, terminal bool) {
+	throttle := err == qos.ErrThrottled
+	code := wire.CodeThrottled
+	switch {
+	case throttle:
+		e.ctr.throttled.Add(1)
+	case core.IsStall(err):
+		code = wire.CodeOf(err)
+	default:
+		// Malformed request (e.g. data wider than the memory word):
+		// drop it with accounting rather than kill the connection.
+		e.logf("server: dropping request seq %d: %v", seq, err)
+		e.ctr.dropped.Add(1)
+		return wire.Reply{Status: wire.StatusDropped, Code: wire.CodeOther, Seq: seq}, true
+	}
+	if e.cfg.Policy == recovery.DropWithAccounting {
+		if !throttle {
+			e.ctr.stalls.Add(1)
+		}
+		return wire.Reply{Status: wire.StatusStall, Code: code, Seq: seq}, true
+	}
+	*attempts++
+	if *attempts >= e.cfg.MaxAttempts {
+		e.ctr.dropped.Add(1)
+		return wire.Reply{Status: wire.StatusDropped, Code: code, Seq: seq}, true
+	}
+	if !throttle {
+		e.ctr.stallRetries.Add(1)
+	}
+	return wire.Reply{}, false
+}
+
+// retireLocked ends a request with a reply: forget the live seq, return
+// the pooled payload, stage the verdict. Called with s.mu held.
+func (e *Engine) retireLocked(s *session, seq uint64, data []byte, rep wire.Reply) {
+	if s.resumable() {
+		s.resolveLocked(seq)
+	}
+	e.pool.Put(data)
+	s.stageReply(rep)
+	e.noteOut(s)
 }
 
 // recordRoute stores the (session, seq, enq) behind an accepted read's

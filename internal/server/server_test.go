@@ -98,6 +98,22 @@ func (h *harness) awaitReply(seq uint64) wire.Reply {
 	}
 }
 
+// awaitVerdict receives until seq resolves one way or the other — a
+// reply frame can overtake an earlier-staged completion frame — and
+// reports its reply, or isReply false when it completed instead.
+func (h *harness) awaitVerdict(seq uint64) (r wire.Reply, isReply bool) {
+	h.t.Helper()
+	for {
+		if r, ok := h.replies[seq]; ok {
+			return r, true
+		}
+		if _, ok := h.comps[seq]; ok {
+			return wire.Reply{}, false
+		}
+		h.recvOne()
+	}
+}
+
 func (h *harness) awaitComp(seq uint64) wire.Completion {
 	h.t.Helper()
 	for {
@@ -218,17 +234,7 @@ func TestStallSurfaced(t *testing.T) {
 
 	var stalled, completed int
 	for i := uint64(0); i < n; i++ {
-		// A reply frame can overtake an earlier-staged completion frame,
-		// so receive until this read resolves one way or the other.
-		for {
-			_, isReply := h.replies[i]
-			_, isComp := h.comps[i]
-			if isReply || isComp {
-				break
-			}
-			h.recvOne()
-		}
-		if r, ok := h.replies[i]; ok {
+		if r, ok := h.awaitVerdict(i); ok {
 			if r.Status != wire.StatusStall || r.Code == wire.CodeNone {
 				t.Fatalf("reply %d = %+v, want StatusStall with a cause", i, r)
 			}
