@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test benchmark-test race chaos netchaos fleetchaos fuzz bench bench-gate bench-diff profile-ooo trace-sample lint
+.PHONY: ci vet build test benchmark-test race chaos netchaos fleetchaos fuzz bench bench-gate bench-diff profile-ooo profile-daemon trace-sample lint
 
 ci: vet build test benchmark-test race chaos netchaos fleetchaos
 
@@ -94,6 +94,25 @@ bench-diff: bench
 # warmup edge out of the profile; inspect with `go tool pprof ooo.pprof`.
 profile-ooo:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerLoopbackOOO$$' -benchtime 8000x -count=1 -cpuprofile ooo.pprof .
+
+# CPU profile of the shipped daemon under the wall-clock benchmark's
+# default-flags shape (vpnmload window 512, batch 256, 10% writes): 10 s
+# of load while daemon.pprof is pulled from /debug/pprof/profile. This
+# is the profile that showed the per-cycle probe setting the daemon's
+# clock rate; the next default-flags lever starts from it. The daemon is
+# killed however the run ends. Inspect with `go tool pprof daemon.pprof`.
+PROFILE_ADDR ?= 127.0.0.1:17450
+PROFILE_STATSZ ?= 127.0.0.1:17451
+profile-daemon:
+	@set -eu; bin=$$(mktemp -d); pid=; \
+	trap 'if [ -n "$$pid" ]; then kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; fi; rm -rf $$bin' EXIT; \
+	$(GO) build -o $$bin/vpnmd ./cmd/vpnmd; \
+	$(GO) build -o $$bin/vpnmload ./cmd/vpnmload; \
+	$$bin/vpnmd -addr $(PROFILE_ADDR) -statsz $(PROFILE_STATSZ) -q & pid=$$!; \
+	for i in $$(seq 100); do curl -sf http://$(PROFILE_STATSZ)/healthz >/dev/null && break; sleep 0.1; done; \
+	curl -sf -o daemon.pprof "http://$(PROFILE_STATSZ)/debug/pprof/profile?seconds=10" & prof=$$!; \
+	$$bin/vpnmload -addr $(PROFILE_ADDR) -duration 11s -window 512 -batch 256 -writefrac 0.1; \
+	wait $$prof; echo "wrote daemon.pprof"
 
 # Sample Chrome trace artifact: 512 random reads through a small
 # controller, dumped as trace_event JSON for chrome://tracing.

@@ -147,9 +147,10 @@ func main() {
 	}
 	// Telemetry: one probe (and MTS estimator) per channel publishing
 	// into a shared registry, and one event trace ring shared by every
-	// channel's tracer. Both are armed only through the HTTP endpoints;
-	// until then the probes cost a few stores per cycle and the disarmed
-	// trace a single atomic load per event.
+	// channel's tracer. On the clock a probe only feeds its per-cycle
+	// histograms (one weighted observation per idle span); its gauges
+	// and counters are published when /metricsz is scraped. The disarmed
+	// trace costs a single atomic load per event.
 	reg := telemetry.NewRegistry()
 	trace := telemetry.NewEventTrace(*traceCap)
 	trace.SetRatio(num, den)

@@ -78,11 +78,12 @@ type Config struct {
 	// Trace optionally receives the controller's internal events (see
 	// Tracer). Nil disables tracing.
 	Trace Tracer
-	// Probe optionally receives one telemetry.TickSample per interface
-	// cycle: per-bank queue depth, delay-buffer and write-buffer
-	// occupancy, merge/replay counts and the stall ledger. Nil disables
-	// sampling entirely — the hot path is bit-for-bit the same as
-	// before the field existed, which the differential test and the
+	// Probe optionally observes the controller: one telemetry.TickSample
+	// per interface cycle (one per idle span from SkipIdle) carrying the
+	// per-cycle distributions' inputs, and a telemetry.Ledger of gauges
+	// and cumulative counts whenever PublishProbe is called. Nil
+	// disables sampling entirely — the hot path is bit-for-bit the same
+	// as before the field existed, which the differential test and the
 	// 0 allocs/op benchmark pin.
 	Probe telemetry.Probe
 	// DualPort, when true, accepts one read AND one write per interface
@@ -100,6 +101,10 @@ type Config struct {
 	// set it from AutoDelayWithSlack, or the delivery invariant will
 	// (deliberately) trip on late data.
 	Fault dram.Hook
+	// Store optionally supplies the DRAM content store, shared with other
+	// controllers that own disjoint addresses (multichannel.New shares
+	// one across its channels). Nil gives the controller a private one.
+	Store *dram.Store
 	// DenseScan, when true, selects the dense reference implementation
 	// of Tick: the original O(Banks)-per-cycle full-bank scans instead
 	// of the event-driven active-set bookkeeping. The two paths operate

@@ -121,15 +121,13 @@ type Controller struct {
 	scratch     [][]byte // scratch[i] backs completions[i].Data until the next Tick
 	completions []Completion
 
-	// Telemetry sampling state, allocated only when cfg.Probe is set.
-	// The sample and its per-bank slices are reused every cycle and kept
-	// current incrementally, so publishing stays allocation-free and
-	// needs no per-bank scan.
-	sample       telemetry.TickSample
-	perBankQueue []int32
-	perBankRows  []int32
-	depthCount   []int32 // depthCount[d] = banks whose queue holds d entries
-	probeMaxQ    int     // max over banks of queue depth, tracked via depthCount
+	// Telemetry state, allocated only when cfg.Probe is set. The deepest
+	// queue is tracked incrementally, so the per-cycle sample needs no
+	// per-bank scan; the ledger is filled only by PublishProbe.
+	sample     telemetry.TickSample
+	ledger     telemetry.Ledger
+	depthCount []int32 // depthCount[d] = banks whose queue holds d entries
+	probeMaxQ  int     // max over banks of queue depth, tracked via depthCount
 
 	stats Stats
 }
@@ -146,6 +144,7 @@ func New(cfg Config) (*Controller, error) {
 		AccessLatency: cfg.AccessLatency,
 		WordBytes:     cfg.WordBytes,
 		Hook:          cfg.Fault,
+		Store:         cfg.Store,
 	})
 	if err != nil {
 		return nil, err
@@ -190,12 +189,10 @@ func New(cfg Config) (*Controller, error) {
 	}
 	c.stats.BankRequests = make([]uint64, cfg.Banks)
 	if cfg.Probe != nil {
-		c.perBankQueue = make([]int32, cfg.Banks)
-		c.perBankRows = make([]int32, cfg.Banks)
 		c.depthCount = make([]int32, cfg.QueueDepth+1)
 		c.depthCount[0] = int32(cfg.Banks)
-		c.sample.PerBankQueue = c.perBankQueue
-		c.sample.PerBankRows = c.perBankRows
+		c.ledger.PerBankQueue = make([]int32, cfg.Banks)
+		c.ledger.PerBankRows = make([]int32, cfg.Banks)
 	}
 	return c, nil
 }
@@ -375,7 +372,7 @@ func (c *Controller) Tick() []Completion {
 	}
 	c.endCycle()
 	if c.cfg.Probe != nil {
-		c.publishProbe()
+		c.observe(1, c.probeMaxQ, c.rowsUse)
 	}
 	return c.completions
 }
@@ -427,40 +424,38 @@ func (c *Controller) deliverDue(e dueEntry) {
 	c.stats.Completions++
 }
 
-// publishProbe fills the reusable TickSample from the cycle just
-// completed and hands it to the probe. Only reached with a non-nil
-// probe; the nil-probe Tick path is untouched. All occupancy fields are
-// maintained incrementally, so no per-bank scan is needed.
-func (c *Controller) publishProbe() {
-	s := &c.sample
-	s.Cycle = c.cycle
-	s.QueueDepth = c.totalQueued
-	s.MaxBankQueue = c.probeMaxQ
-	s.DelayRowsInUse = c.rowsUse
-	s.WriteBufInUse = c.wbUse
-	c.fillProbeLedger(s)
-	c.cfg.Probe.ObserveTick(s)
+// observe hands the probe one observation of the per-cycle
+// distributions, weighted by the n cycles that ended at c.cycle holding
+// these values. Only reached with a non-nil probe; the nil-probe Tick
+// path is untouched.
+func (c *Controller) observe(n uint64, maxQ, rows int) {
+	c.sample = telemetry.TickSample{Cycle: c.cycle, Cycles: n, MaxBankQueue: maxQ, DelayRowsInUse: rows, CodedGrants: c.lastGrants}
+	c.cfg.Probe.ObserveTick(&c.sample)
 }
 
-// fillProbeLedger copies the cumulative controller ledger into s.
-func (c *Controller) fillProbeLedger(s *telemetry.TickSample) {
-	s.Reads = c.stats.Reads
-	s.Writes = c.stats.Writes
-	s.MergedReads = c.stats.MergedReads
-	s.Replays = c.stats.Completions
-	s.Stalls[telemetry.CauseDelayBuffer] = c.stats.Stalls.DelayBuffer
-	s.Stalls[telemetry.CauseBankQueue] = c.stats.Stalls.BankQueue
-	s.Stalls[telemetry.CauseWriteBuffer] = c.stats.Stalls.WriteBuffer
-	s.Stalls[telemetry.CauseCounter] = c.stats.Stalls.Counter
-	s.Stalls[telemetry.CausePort] = c.stats.Stalls.Port
+// PublishProbe hands the probe the controller's scrape-time Ledger:
+// occupancy totals, the per-bank breakdown and the cumulative ledger.
+// It scans every bank, so it belongs at scrape time, not on the clock.
+// A no-op without a probe.
+func (c *Controller) PublishProbe() {
+	if c.cfg.Probe == nil {
+		return
+	}
+	l, st := &c.ledger, &c.stats
+	l.Cycle = c.cycle
+	l.QueueDepth, l.DelayRowsInUse, l.WriteBufInUse = c.totalQueued, c.rowsUse, c.wbUse
+	for i, b := range c.banks {
+		l.PerBankQueue[i], l.PerBankRows[i] = int32(b.baq.Len()), int32(b.rowsInUse())
+	}
+	l.Reads, l.Writes, l.MergedReads, l.Replays = st.Reads, st.Writes, st.MergedReads, st.Completions
+	l.Stalls = [telemetry.NumStallCauses]uint64{st.Stalls.DelayBuffer, st.Stalls.BankQueue,
+		st.Stalls.WriteBuffer, st.Stalls.Counter, st.Stalls.Port}
 	if c.coded != nil {
 		ctr := c.coded.banks.Counters()
-		s.CodedGrants = c.lastGrants
-		s.CodedDecodes = ctr.Decodes
-		s.CodedDecodeReads = ctr.DecodeReads
-		s.CodedParityWrites = ctr.ParityWrites
-		s.CodedRMWReads = ctr.RMWReads
+		l.CodedDecodes, l.CodedDecodeReads = ctr.Decodes, ctr.DecodeReads
+		l.CodedParityWrites, l.CodedRMWReads = ctr.ParityWrites, ctr.RMWReads
 	}
+	c.cfg.Probe.Publish(l)
 }
 
 // advanceMemory runs the memory-side bus up to the cycle budget earned
@@ -539,18 +534,16 @@ func (c *Controller) issueOn(bank int, m uint64) bool {
 }
 
 // noteQueuePush maintains the queued-bank set, the queue-occupancy
-// totals and the probe's per-bank mirror after a bank access queue push.
+// totals and the probe's deepest-queue tracker after a bank access
+// queue push.
 func (c *Controller) noteQueuePush(id int) {
 	c.totalQueued++
 	c.queuedBanks.add(id)
 	if c.depthCount != nil {
 		d := c.banks[id].baq.Len()
-		c.perBankQueue[id] = int32(d)
 		c.depthCount[d-1]--
 		c.depthCount[d]++
-		if d > c.probeMaxQ {
-			c.probeMaxQ = d
-		}
+		c.probeMaxQ = max(c.probeMaxQ, d)
 	}
 }
 
@@ -563,7 +556,6 @@ func (c *Controller) noteQueuePop(id int) {
 	}
 	if c.depthCount != nil {
 		d := b.baq.Len()
-		c.perBankQueue[id] = int32(d)
 		c.depthCount[d+1]--
 		c.depthCount[d]++
 		for c.probeMaxQ > 0 && c.depthCount[c.probeMaxQ] == 0 {
@@ -572,22 +564,10 @@ func (c *Controller) noteQueuePop(id int) {
 	}
 }
 
-func (c *Controller) noteRowAlloc(id int) {
-	c.rowsUse++
-	if c.perBankRows != nil {
-		c.perBankRows[id]++
-	}
-}
-
-func (c *Controller) noteRowFree(id int) {
-	c.rowsUse--
-	if c.perBankRows != nil {
-		c.perBankRows[id]--
-	}
-}
-
-func (c *Controller) noteWBPush(int) { c.wbUse++ }
-func (c *Controller) noteWBPop(int)  { c.wbUse-- }
+func (c *Controller) noteRowAlloc(int) { c.rowsUse++ }
+func (c *Controller) noteRowFree(int)  { c.rowsUse-- }
+func (c *Controller) noteWBPush(int)   { c.wbUse++ }
+func (c *Controller) noteWBPop(int)    { c.wbUse-- }
 
 // notePressure updates the high-water marks after a queue push.
 func (c *Controller) notePressure(b *bankController) {
@@ -656,10 +636,11 @@ func (c *Controller) IdleCycles() uint64 {
 // SkipIdle fast-forwards up to n interface cycles through a span in
 // which no event can occur, returning the cycles actually skipped
 // (min(n, IdleCycles())). It is exactly equivalent to calling Tick that
-// many times — the clocks, statistics ledger and probe sample stream
+// many times — the clocks, statistics ledger and probe distributions
 // advance identically, which the quiescence property tests pin — but
-// costs O(1) with a nil probe and one synthesized sample per cycle
-// otherwise. Callers with pending work get 0 and should Tick instead.
+// costs O(1), probe included: nothing moves inside the span, so the
+// probe gets one observation weighted by its length. Callers with
+// pending work get 0 and should Tick instead.
 func (c *Controller) SkipIdle(n uint64) uint64 {
 	k := c.IdleCycles()
 	if k > n {
@@ -679,16 +660,19 @@ func (c *Controller) SkipIdle(n uint64) uint64 {
 		}
 		return k
 	}
-	if c.cfg.Probe == nil {
-		c.skipState(k)
-		return k
-	}
-	// Probed: the probe contract is one sample per interface cycle, so
-	// synthesize the span's samples — everything but Cycle is frozen
-	// while the controller is idle.
-	for i := uint64(0); i < k; i++ {
+	rest := k
+	if c.cfg.Probe != nil && c.readsThisCycle > 0 {
+		// The span opens on a cycle that granted a read (one that merged,
+		// so nothing queued): only its grant count differs from the rest.
 		c.skipState(1)
-		c.publishProbe()
+		c.observe(1, c.probeMaxQ, c.rowsUse)
+		rest--
+	}
+	if rest > 0 {
+		c.skipState(rest)
+		if c.cfg.Probe != nil {
+			c.observe(rest, c.probeMaxQ, c.rowsUse)
+		}
 	}
 	return k
 }
@@ -705,8 +689,8 @@ func (c *Controller) skipState(k uint64) {
 	c.memTime = target
 	// One endCycle covers the whole span: the request flags and ports it
 	// clears are already clear after the first skipped cycle, and
-	// lastGrants is only observable through the probe, whose SkipIdle
-	// path always calls skipState(1) per published sample.
+	// lastGrants is only observable through the probe, which SkipIdle
+	// gives the span's first cycle separately when it granted reads.
 	c.endCycle()
 }
 
@@ -739,7 +723,8 @@ func (c *Controller) Flush() []Completion {
 	return all
 }
 
-// Store exposes the backing DRAM contents for tests and preloading.
+// Store exposes the backing DRAM contents for tests and preloading. It
+// is shared when Config.Store was set.
 func (c *Controller) Store() *dram.Store { return c.mod.Store() }
 
 // makeScratch preallocates the per-cycle completion payload words.

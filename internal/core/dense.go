@@ -18,7 +18,7 @@ package core
 // event-driven path saves.
 
 // tickDense is Tick's dense reference: full-bank scans for flushing,
-// occupancy accounting and probe sampling.
+// occupancy accounting and the probe's per-cycle sample.
 func (c *Controller) tickDense() []Completion {
 	c.cycle++
 	c.stats.Cycles++
@@ -44,34 +44,15 @@ func (c *Controller) tickDense() []Completion {
 	}
 	c.endCycle()
 	if c.cfg.Probe != nil {
-		c.publishProbeDense()
+		// Recompute the sample's inputs from a full-bank scan instead of
+		// trusting the incrementally maintained values the event path
+		// observes.
+		rows, maxQ := 0, 0
+		for _, b := range c.banks {
+			rows += b.rowsInUse()
+			maxQ = max(maxQ, b.baq.Len())
+		}
+		c.observe(1, maxQ, rows)
 	}
 	return c.completions
-}
-
-// publishProbeDense recomputes the probe sample from a full-bank scan,
-// overwriting (with necessarily equal values) the incrementally
-// maintained per-bank mirrors the event-driven publishProbe trusts.
-func (c *Controller) publishProbeDense() {
-	s := &c.sample
-	s.Cycle = c.cycle
-	totalQ, rows, wb, maxQ := 0, 0, 0, 0
-	for i, b := range c.banks {
-		q := b.baq.Len()
-		r := b.rowsInUse()
-		c.perBankQueue[i] = int32(q)
-		c.perBankRows[i] = int32(r)
-		totalQ += q
-		rows += r
-		wb += b.wb.Len()
-		if q > maxQ {
-			maxQ = q
-		}
-	}
-	s.QueueDepth = totalQ
-	s.MaxBankQueue = maxQ
-	s.DelayRowsInUse = rows
-	s.WriteBufInUse = wb
-	c.fillProbeLedger(s)
-	c.cfg.Probe.ObserveTick(s)
 }

@@ -55,21 +55,31 @@ func (d *diffTrace) OnDeliver(cycle uint64, bank int, addr, tag uint64) {
 	d.events = append(d.events, traceEvent{kind: "deliver", cycle: cycle, bank: bank, addr: addr, tag: tag})
 }
 
-// lastProbe keeps a deep copy of the most recent telemetry sample and
-// counts samples, so two controllers' probe streams can be compared
-// cycle by cycle.
-type lastProbe struct {
-	n      uint64
+// diffProbe records a controller's probe stream so two controllers can
+// be compared: the last per-cycle sample, the multiset of per-cycle
+// values with the cycles that held them (weights fold in, so one
+// weighted idle-span observation equals that many single ticks), and a
+// deep copy of the last published ledger.
+type diffProbe struct {
+	cycles uint64
 	last   telemetry.TickSample
-	pq, pr []int32
+	seen   map[[3]int]uint64 // (max bank queue, rows, grants) -> cycles
+	ledger telemetry.Ledger
 }
 
-func (p *lastProbe) ObserveTick(s *telemetry.TickSample) {
-	p.n++
-	p.pq = append(p.pq[:0], s.PerBankQueue...)
-	p.pr = append(p.pr[:0], s.PerBankRows...)
+func (p *diffProbe) ObserveTick(s *telemetry.TickSample) {
+	if p.seen == nil {
+		p.seen = map[[3]int]uint64{}
+	}
+	p.cycles += s.Cycles
+	p.seen[[3]int{s.MaxBankQueue, s.DelayRowsInUse, s.CodedGrants}] += s.Cycles
 	p.last = *s
-	p.last.PerBankQueue, p.last.PerBankRows = p.pq, p.pr
+}
+
+func (p *diffProbe) Publish(l *telemetry.Ledger) {
+	q, r := append(p.ledger.PerBankQueue[:0], l.PerBankQueue...), append(p.ledger.PerBankRows[:0], l.PerBankRows...)
+	p.ledger = *l
+	p.ledger.PerBankQueue, p.ledger.PerBankRows = q, r
 }
 
 func errEq(a, b error) bool {
@@ -117,11 +127,11 @@ type diffCase struct {
 // after every cycle.
 func runEventDiff(t *testing.T, tc diffCase) {
 	t.Helper()
-	build := func(dense bool) (*core.Controller, *diffTrace, *lastProbe) {
+	build := func(dense bool) (*core.Controller, *diffTrace, *diffProbe) {
 		cfg := tc.cfg
 		cfg.DenseScan = dense
 		tr := &diffTrace{}
-		pr := &lastProbe{}
+		pr := &diffProbe{}
 		cfg.Trace = tr
 		cfg.Probe = pr
 		if tc.fault != nil {
@@ -154,20 +164,33 @@ func runEventDiff(t *testing.T, tc diffCase) {
 		}
 		checked = len(etr.events)
 	}
-	syncProbes := func(where string) {
+	// syncProbes compares the probe streams and the ledgers both sides
+	// publish. After a tick each side made one single-cycle observation,
+	// compared exactly; a rekey drain may fold idle spans into weighted
+	// observations on the event path, so there the per-cycle multisets
+	// are compared instead.
+	syncProbes := func(where string, tick bool) {
 		t.Helper()
-		if epr.n != dpr.n {
-			t.Fatalf("%s: event path published %d samples, dense %d", where, epr.n, dpr.n)
+		if epr.cycles != dpr.cycles {
+			t.Fatalf("%s: event path observed %d cycles, dense %d", where, epr.cycles, dpr.cycles)
 		}
-		if epr.n > 0 && !reflect.DeepEqual(epr.last, dpr.last) {
+		if tick && epr.last != dpr.last {
 			t.Fatalf("%s: probe sample diverged:\nevent %+v\ndense %+v", where, epr.last, dpr.last)
+		}
+		if !tick && !reflect.DeepEqual(epr.seen, dpr.seen) {
+			t.Fatalf("%s: per-cycle observations diverged:\nevent %v\ndense %v", where, epr.seen, dpr.seen)
+		}
+		ec.PublishProbe()
+		dc.PublishProbe()
+		if !reflect.DeepEqual(epr.ledger, dpr.ledger) {
+			t.Fatalf("%s: published ledger diverged:\nevent %+v\ndense %+v", where, epr.ledger, dpr.ledger)
 		}
 	}
 	tickBoth := func(where string) {
 		t.Helper()
 		compareComps(t, where, ec.Tick(), dc.Tick())
 		syncTrace(where)
-		syncProbes(where)
+		syncProbes(where, true)
 	}
 
 	rng := rand.New(rand.NewPCG(tc.seed, 0x6a09e667f3bcc908))
@@ -184,7 +207,7 @@ func runEventDiff(t *testing.T, tc diffCase) {
 			}
 			compareComps(t, where(i)+" rekey drain", edr, ddr)
 			syncTrace(where(i) + " rekey")
-			syncProbes(where(i) + " rekey")
+			syncProbes(where(i)+" rekey", false)
 		}
 		v := rng.Uint64()
 		doRead, doWrite := tc.op(v)
@@ -230,6 +253,7 @@ func runEventDiff(t *testing.T, tc diffCase) {
 	if ec.Cycle() != dc.Cycle() {
 		t.Fatalf("final cycle diverged: event %d dense %d", ec.Cycle(), dc.Cycle())
 	}
+	syncProbes("final", false)
 	if es, ds := ec.Stats(), dc.Stats(); !reflect.DeepEqual(es, ds) {
 		t.Fatalf("final Stats diverged:\nevent %+v\ndense %+v", es, ds)
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math/rand/v2"
 	"reflect"
 	"testing"
@@ -8,48 +9,53 @@ import (
 	"repro/internal/telemetry"
 )
 
-// recordingProbe keeps a copy of the last sample (slices included) plus
-// invariant checks on every tick.
+// recordingProbe counts observed cycles and keeps a copy of the last
+// published ledger (slices included), checking invariants on both.
 type recordingProbe struct {
-	t     *testing.T
-	cfg   Config
-	ticks uint64
-	last  telemetry.TickSample
-	pbq   []int32
-	pbr   []int32
+	t        *testing.T
+	cfg      Config
+	ticks    uint64
+	last     telemetry.Ledger
+	pbq, pbr []int32
 }
 
 func (p *recordingProbe) ObserveTick(s *telemetry.TickSample) {
-	p.ticks++
-	if s.Cycle != p.ticks {
-		p.t.Fatalf("sample cycle %d on tick %d", s.Cycle, p.ticks)
+	p.ticks += s.Cycles
+	if s.Cycles == 0 || s.Cycle != p.ticks {
+		p.t.Fatalf("sample cycle %d weight %d after %d observed cycles", s.Cycle, s.Cycles, p.ticks)
 	}
-	if len(s.PerBankQueue) != p.cfg.Banks || len(s.PerBankRows) != p.cfg.Banks {
-		p.t.Fatalf("per-bank slices sized %d/%d, want %d", len(s.PerBankQueue), len(s.PerBankRows), p.cfg.Banks)
+	if s.MaxBankQueue > p.cfg.QueueDepth || s.DelayRowsInUse > p.cfg.Banks*p.cfg.DelayRows {
+		p.t.Fatalf("sample out of bounds: %+v", s)
+	}
+}
+
+func (p *recordingProbe) Publish(l *telemetry.Ledger) {
+	if len(l.PerBankQueue) != p.cfg.Banks || len(l.PerBankRows) != p.cfg.Banks {
+		p.t.Fatalf("per-bank slices sized %d/%d, want %d", len(l.PerBankQueue), len(l.PerBankRows), p.cfg.Banks)
 	}
 	var q, r int
-	maxQ := 0
-	for i := range s.PerBankQueue {
-		q += int(s.PerBankQueue[i])
-		r += int(s.PerBankRows[i])
-		if int(s.PerBankQueue[i]) > maxQ {
-			maxQ = int(s.PerBankQueue[i])
+	for i := range l.PerBankQueue {
+		q += int(l.PerBankQueue[i])
+		r += int(l.PerBankRows[i])
+		if int(l.PerBankQueue[i]) > p.cfg.QueueDepth {
+			p.t.Fatalf("bank %d queue %d exceeds Q=%d", i, l.PerBankQueue[i], p.cfg.QueueDepth)
 		}
-		if int(s.PerBankQueue[i]) > p.cfg.QueueDepth {
-			p.t.Fatalf("bank %d queue %d exceeds Q=%d", i, s.PerBankQueue[i], p.cfg.QueueDepth)
-		}
-		if int(s.PerBankRows[i]) > p.cfg.DelayRows {
-			p.t.Fatalf("bank %d rows %d exceed K=%d", i, s.PerBankRows[i], p.cfg.DelayRows)
+		if int(l.PerBankRows[i]) > p.cfg.DelayRows {
+			p.t.Fatalf("bank %d rows %d exceed K=%d", i, l.PerBankRows[i], p.cfg.DelayRows)
 		}
 	}
-	if q != s.QueueDepth || r != s.DelayRowsInUse || maxQ != s.MaxBankQueue {
-		p.t.Fatalf("per-bank totals %d/%d/%d disagree with sample %d/%d/%d",
-			q, r, maxQ, s.QueueDepth, s.DelayRowsInUse, s.MaxBankQueue)
+	// The totals are maintained incrementally, the breakdown is scanned:
+	// they must agree.
+	if q != l.QueueDepth || r != l.DelayRowsInUse {
+		p.t.Fatalf("per-bank totals %d/%d disagree with ledger %d/%d", q, r, l.QueueDepth, l.DelayRowsInUse)
+	}
+	if l.Cycle != p.ticks {
+		p.t.Fatalf("ledger cycle %d after %d observed cycles", l.Cycle, p.ticks)
 	}
 	// Copy: the slices are only valid during the call.
-	p.pbq = append(p.pbq[:0], s.PerBankQueue...)
-	p.pbr = append(p.pbr[:0], s.PerBankRows...)
-	p.last = *s
+	p.pbq = append(p.pbq[:0], l.PerBankQueue...)
+	p.pbr = append(p.pbr[:0], l.PerBankRows...)
+	p.last = *l
 	p.last.PerBankQueue, p.last.PerBankRows = p.pbq, p.pbr
 }
 
@@ -116,8 +122,8 @@ func TestProbeDifferential(t *testing.T) {
 	}
 }
 
-// TestProbeReconcilesWithStats pins the TickSample cumulative ledger to
-// the controller's own Stats, field for field, after every tick's dust
+// TestProbeReconcilesWithStats pins the published Ledger to the
+// controller's own Stats, field for field, after every tick's dust
 // settles.
 func TestProbeReconcilesWithStats(t *testing.T) {
 	cfg := Config{Banks: 8, QueueDepth: 4, DelayRows: 8, WordBytes: 8, HashSeed: 3}
@@ -137,21 +143,95 @@ func TestProbeReconcilesWithStats(t *testing.T) {
 			c.Read(addr) //nolint:errcheck // stalls are part of the point
 		}
 		c.Tick()
+		c.PublishProbe()
+		s, last := &c.stats, probe.last
+		if last.Reads != s.Reads || last.Writes != s.Writes ||
+			last.MergedReads != s.MergedReads || last.Replays != s.Completions {
+			t.Fatalf("cycle %d: ledger mismatch: published %+v vs stats %+v", i, last, *s)
+		}
+		if last.Stalls != [telemetry.NumStallCauses]uint64{s.Stalls.DelayBuffer, s.Stalls.BankQueue,
+			s.Stalls.WriteBuffer, s.Stalls.Counter, s.Stalls.Port} {
+			t.Fatalf("cycle %d: stall ledger mismatch: published %v vs stats %+v", i, last.Stalls, s.Stalls)
+		}
 	}
 	s := c.Stats()
-	last := probe.last
-	if last.Reads != s.Reads || last.Writes != s.Writes ||
-		last.MergedReads != s.MergedReads || last.Replays != s.Completions {
-		t.Fatalf("ledger mismatch: sample %+v vs stats %+v", last, s)
-	}
-	if last.Stalls[telemetry.CauseDelayBuffer] != s.Stalls.DelayBuffer ||
-		last.Stalls[telemetry.CauseBankQueue] != s.Stalls.BankQueue ||
-		last.Stalls[telemetry.CauseWriteBuffer] != s.Stalls.WriteBuffer ||
-		last.Stalls[telemetry.CauseCounter] != s.Stalls.Counter {
-		t.Fatalf("stall ledger mismatch: sample %v vs stats %+v", last.Stalls, s.Stalls)
+	if s.Stalls.Total() == 0 || s.MergedReads == 0 {
+		t.Fatalf("workload too gentle to exercise the ledger: %+v", s)
 	}
 	if c.StallsTotal() != s.Stalls.Total() {
 		t.Fatalf("StallsTotal() = %d, Stats().Stalls.Total() = %d", c.StallsTotal(), s.Stalls.Total())
+	}
+}
+
+// countingProbe forwards to a real probe, counting observations and
+// the cycles they cover.
+type countingProbe struct {
+	telemetry.Probe
+	samples int
+	cycles  uint64
+}
+
+func (p *countingProbe) ObserveTick(s *telemetry.TickSample) {
+	p.samples++
+	p.cycles += s.Cycles
+	p.Probe.ObserveTick(s)
+}
+
+// TestSkipIdleOneWeightedObservation pins what makes a probed idle skip
+// O(1): SkipIdle(k) hands the probe exactly one observation of weight k,
+// and the histograms and MTS estimator it leaves behind equal those of
+// k single ticks.
+func TestSkipIdleOneWeightedObservation(t *testing.T) {
+	build := func() (*Controller, *countingProbe, *telemetry.Registry) {
+		cfg := Config{Banks: 8, QueueDepth: 4, DelayRows: 8, WordBytes: 8, HashSeed: 5}.withDefaults()
+		reg := telemetry.NewRegistry()
+		mp := telemetry.NewMemProbe(reg, "0", cfg.Banks, cfg.QueueDepth, cfg.Banks*cfg.DelayRows)
+		mp.AttachEstimator(reg, telemetry.NewMTSEstimator(cfg.QueueDepth), "0")
+		p := &countingProbe{Probe: mp}
+		cfg.Probe = p
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c, p, reg
+	}
+	skipped, sp, sreg := build()
+	ticked, _, treg := build()
+	for i := uint64(0); i < 40; i++ {
+		for _, c := range []*Controller{skipped, ticked} {
+			c.Read(i * 3) //nolint:errcheck // a stall just wastes the slot
+			c.Tick()
+		}
+	}
+	for skipped.IdleCycles() == 0 {
+		skipped.Tick()
+		ticked.Tick()
+	}
+	k := skipped.IdleCycles()
+	if k < 2 || k == ^uint64(0) {
+		t.Fatalf("idle span %d: want a finite multi-cycle span", k)
+	}
+
+	sp.samples, sp.cycles = 0, 0
+	if got := skipped.SkipIdle(k); got != k {
+		t.Fatalf("SkipIdle(%d) skipped %d", k, got)
+	}
+	if sp.samples != 1 || sp.cycles != k {
+		t.Fatalf("SkipIdle(%d) made %d observations covering %d cycles, want 1 covering %d", k, sp.samples, sp.cycles, k)
+	}
+	for i := uint64(0); i < k; i++ {
+		if len(ticked.Tick()) != 0 {
+			t.Fatal("completion inside an idle span")
+		}
+	}
+
+	skipped.PublishProbe()
+	ticked.PublishProbe()
+	var a, b bytes.Buffer
+	sreg.WriteTo(&a) //nolint:errcheck // bytes.Buffer
+	treg.WriteTo(&b) //nolint:errcheck // bytes.Buffer
+	if a.String() != b.String() {
+		t.Fatalf("one weighted observation and %d ticks left different state:\nskip:\n%s\ntick:\n%s", k, a.String(), b.String())
 	}
 }
 

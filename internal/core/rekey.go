@@ -91,9 +91,10 @@ func (c *Controller) Rekey(newSeed uint64) (moved int, cycles uint64, drained []
 	c.cfg.HashSeed = newSeed
 	c.h = hash.NewH3(bits, newSeed)
 	// The pipeline is quiescent after the drain, so the relocation span
-	// fast-forwards in O(1) (per-cycle probe samples aside) rather than
-	// paying one empty Tick per moved word.
-	for left := RekeyCost(c.mod.Store().Populated()); left > 0; {
+	// fast-forwards in O(1) rather than paying one empty Tick per moved
+	// word. Only this controller's words move: a shared store also holds
+	// the other channels'.
+	for left := RekeyCost(c.mod.Populated()); left > 0; {
 		if k := c.SkipIdle(left); k > 0 {
 			left -= k
 			continue
@@ -105,5 +106,5 @@ func (c *Controller) Rekey(newSeed uint64) (moved int, cycles uint64, drained []
 	c.windowStart = c.cycle
 	c.windowStalls = 0
 	c.prevWindowStalls = 0
-	return c.mod.Store().Populated(), c.cycle - start, drained, nil
+	return c.mod.Populated(), c.cycle - start, drained, nil
 }

@@ -74,6 +74,10 @@ type Config struct {
 	// Hook optionally interposes a fault-injection / ECC layer on every
 	// access. Nil leaves the module fault-free (the seed behaviour).
 	Hook Hook
+	// Store optionally supplies the content store, shared with other
+	// modules that own disjoint addresses; its word size must equal
+	// WordBytes. Nil gives the module a private store.
+	Store *Store
 }
 
 // Validate reports whether the configuration is usable.
@@ -95,6 +99,9 @@ func (c Config) Validate() error {
 	}
 	if c.RowWords < 0 || (c.RowWords > 0 && c.RowWords&(c.RowWords-1) != 0) {
 		return fmt.Errorf("dram: RowWords must be a power of two, got %d", c.RowWords)
+	}
+	if c.Store != nil && c.Store.WordBytes() != c.WordBytes {
+		return fmt.Errorf("dram: Store word size %d differs from WordBytes %d", c.Store.WordBytes(), c.WordBytes)
 	}
 	return nil
 }
@@ -119,6 +126,7 @@ type Module struct {
 	store   *Store
 	scratch []byte // private copy handed to the hook; valid until the next IssueRead
 
+	populated     int // distinct words this module wrote (a shared store counts everyone's)
 	accesses      uint64
 	rowHits       uint64
 	conflicts     uint64 // issue attempts that found the bank busy
@@ -131,12 +139,16 @@ func NewModule(cfg Config) (*Module, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	store := cfg.Store
+	if store == nil {
+		store = NewStore(cfg.WordBytes)
+	}
 	return &Module{
 		cfg:     cfg,
 		freeAt:  make([]uint64, cfg.Banks),
 		openRow: make([]uint64, cfg.Banks),
 		rowInit: make([]bool, cfg.Banks),
-		store:   NewStore(cfg.WordBytes),
+		store:   store,
 	}, nil
 }
 
@@ -144,8 +156,12 @@ func NewModule(cfg Config) (*Module, error) {
 func (m *Module) Config() Config { return m.cfg }
 
 // Store exposes the content store (used by tests and by controllers that
-// need to pre-load memory images).
+// need to pre-load memory images). It may be shared with other modules.
 func (m *Module) Store() *Store { return m.store }
+
+// Populated reports the number of distinct words this module has
+// written — its share of the store, whichever modules share it.
+func (m *Module) Populated() int { return m.populated }
 
 // BankFree reports whether bank can start an access at memory cycle now.
 func (m *Module) BankFree(bank int, now uint64) bool {
@@ -212,7 +228,9 @@ func (m *Module) IssueWrite(bank int, addr uint64, data []byte, now uint64) (don
 	}
 	m.freeAt[bank] = now + lat
 	m.accesses++
-	m.store.Write(addr, data)
+	if m.store.Write(addr, data) {
+		m.populated++
+	}
 	if m.cfg.Hook != nil {
 		// The hook sees the stored (zero-padded) word so ECC check bits
 		// always cover the full word.

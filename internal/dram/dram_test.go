@@ -146,28 +146,86 @@ func TestStoreReadWriteProperty(t *testing.T) {
 	}
 }
 
-// TestStoreSlabGrowthKeepsAliases writes across several slab boundaries
-// and checks that a slice Read returned early still aliases its word
-// afterwards: slabs are never moved.
+// TestStoreSlabGrowthKeepsAliases writes pages across several slab
+// boundaries, scattered so pages fill out of address order, and checks
+// that a slice Read returned early still aliases its word afterwards:
+// slabs are never moved.
 func TestStoreSlabGrowthKeepsAliases(t *testing.T) {
 	s := NewStore(2)
-	s.Write(7, []byte{1, 1})
+	if !s.Write(7, []byte{1, 1}) {
+		t.Fatal("first write of a word not reported fresh")
+	}
 	early := s.Read(7)
-	const n = 3*slabWords + 5
-	for a := uint64(100); a < 100+n; a++ {
-		s.Write(a, []byte{byte(a), byte(a >> 8)})
+	const pages = 3*pagesPerSlab + 5
+	addr := func(i uint64) uint64 { return (i*37%pages+1)*pageWords*3 + i%pageWords }
+	for i := uint64(0); i < pages; i++ {
+		a := addr(i)
+		if !s.Write(a, []byte{byte(a), byte(a >> 8)}) {
+			t.Fatalf("first write of word %d not reported fresh", a)
+		}
 	}
-	if s.Populated() != n+1 {
-		t.Fatalf("Populated = %d, want %d", s.Populated(), n+1)
+	if s.Populated() != pages+1 {
+		t.Fatalf("Populated = %d, want %d", s.Populated(), pages+1)
 	}
-	for a := uint64(100); a < 100+n; a++ {
-		if got := s.Read(a); got[0] != byte(a) || got[1] != byte(a>>8) {
+	for i := uint64(0); i < pages; i++ {
+		if a, got := addr(i), s.Read(addr(i)); got[0] != byte(a) || got[1] != byte(a>>8) {
 			t.Fatalf("word %d = %v after growth", a, got)
 		}
 	}
-	s.Write(7, []byte{9, 9})
+	if s.Write(7, []byte{9, 9}) {
+		t.Fatal("rewrite of a word reported fresh")
+	}
 	if early[0] != 9 || &early[0] != &s.Read(7)[0] {
 		t.Fatalf("early slice %v no longer aliases the stored word", early)
+	}
+	if s.Populated() != pages+1 {
+		t.Fatalf("rewrite changed Populated to %d", s.Populated())
+	}
+}
+
+// TestStoreUnwrittenNeighbourReadsZero: writing one word allocates its
+// whole page, but the page's other words still read as the shared zero
+// word and are not counted as populated.
+func TestStoreUnwrittenNeighbourReadsZero(t *testing.T) {
+	s := NewStore(4)
+	s.Write(pageWords+5, []byte{1, 2, 3, 4})
+	for _, a := range []uint64{pageWords, pageWords + 4, pageWords + 6, 2*pageWords - 1} {
+		if got := s.Read(a); !bytes.Equal(got, []byte{0, 0, 0, 0}) || &got[0] != &s.zero[0] {
+			t.Fatalf("unwritten neighbour %d = %v, want the shared zero word", a, got)
+		}
+	}
+	if s.Populated() != 1 {
+		t.Fatalf("Populated = %d, want 1", s.Populated())
+	}
+}
+
+// TestModuleSharedStoreCountsOwnWords: modules sharing one store and
+// owning disjoint addresses (odd and even, here) each count the
+// distinct words they wrote, and the counts sum to the store's.
+func TestModuleSharedStoreCountsOwnWords(t *testing.T) {
+	store := NewStore(4)
+	a, err := NewModule(Config{Banks: 1, AccessLatency: 1, WordBytes: 4, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := NewModule(Config{Banks: 1, AccessLatency: 1, WordBytes: 4, Store: store})
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := uint64(0)
+	for i := uint64(0); i < 100; i++ {
+		m, addr := a, i%40 // 40 words, rewritten
+		if addr%2 == 1 {
+			m = b
+		}
+		m.IssueWrite(0, addr, []byte{byte(i)}, now)
+		now++
+	}
+	if a.Populated() != 20 || b.Populated() != 20 || store.Populated() != 40 {
+		t.Fatalf("populated a=%d b=%d store=%d, want 20+20 = 40", a.Populated(), b.Populated(), store.Populated())
+	}
+	if _, err := NewModule(Config{Banks: 1, AccessLatency: 1, WordBytes: 8, Store: store}); err == nil {
+		t.Fatal("a store of another word size was accepted")
 	}
 }
 

@@ -72,7 +72,10 @@ func WithTracers(f func(ch int) core.Tracer) Option {
 // New builds a striped memory of `channels` (a power of two) identical
 // controllers. Each channel gets an independently seeded bank hash;
 // the channel selector is seeded separately so bank and channel
-// randomization are independent.
+// randomization are independent. The channels share one content store:
+// the selector gives every address exactly one channel, so their words
+// never collide, and one paged store costs far less per word than one
+// sparse store per channel.
 func New(cfg core.Config, channels int, seed uint64, opts ...Option) (*Memory, error) {
 	if channels < 1 || channels&(channels-1) != 0 {
 		return nil, fmt.Errorf("multichannel: channels must be a positive power of two, got %d", channels)
@@ -96,6 +99,9 @@ func New(cfg core.Config, channels int, seed uint64, opts ...Option) (*Memory, e
 	for i := 0; i < channels; i++ {
 		c := cfg
 		c.HashSeed = seed + uint64(i)*0x9e3779b9
+		if i > 0 {
+			c.Store = m.chans[0].Store()
+		}
 		if o.probes != nil {
 			c.Probe = o.probes(i)
 		}
@@ -309,3 +315,12 @@ func (m *Memory) Stats() (reads, writes, channelBusy, stalls uint64) {
 // ground truth the telemetry reconciliation tests compare probe
 // counters against.
 func (m *Memory) ChannelStats(ch int) core.Stats { return m.chans[ch].Stats() }
+
+// PublishProbes publishes every probed channel's scrape-time ledger
+// (core.Controller.PublishProbe). All channels are read at the same
+// cycle. Call it from the goroutine that owns the memory.
+func (m *Memory) PublishProbes() {
+	for _, c := range m.chans {
+		c.PublishProbe()
+	}
+}

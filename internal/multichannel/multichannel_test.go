@@ -198,6 +198,49 @@ func TestTagRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSharedStorePerChannelPopulated: the channels share one content
+// store, but each still owns its addresses' words — every channel's
+// rekey relocates (and charges for) exactly its own distinct words, and
+// the per-channel counts sum to the store's.
+func TestSharedStorePerChannelPopulated(t *testing.T) {
+	m, err := New(cfg(), 4, 13)
+	if err != nil {
+		t.Fatal(err)
+	}
+	own := make([]map[uint64]bool, m.Channels())
+	for ch := range own {
+		own[ch] = map[uint64]bool{}
+	}
+	rng := rand.New(rand.NewPCG(8, 8))
+	for i := 0; i < 3000; i++ {
+		addr := rng.Uint64N(1 << 12)
+		if m.Write(addr, []byte{byte(addr)}) == nil {
+			own[m.Channel(addr)][addr] = true
+		}
+		m.Tick()
+	}
+	for m.Outstanding() > 0 || m.IdleCycles() == 0 {
+		m.Tick() // drain the write buffers into the store
+	}
+	store, sum := m.chans[0].Store(), 0
+	for ch, c := range m.chans {
+		if c.Store() != store {
+			t.Fatalf("channel %d has its own store", ch)
+		}
+		moved, cycles, _, err := c.Rekey(uint64(ch) + 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if moved != len(own[ch]) || cycles != core.RekeyCost(moved) {
+			t.Fatalf("channel %d moved %d words in %d cycles, want %d in %d", ch, moved, cycles, len(own[ch]), core.RekeyCost(len(own[ch])))
+		}
+		sum += moved
+	}
+	if sum != store.Populated() || sum == 0 {
+		t.Fatalf("per-channel words sum to %d, store holds %d", sum, store.Populated())
+	}
+}
+
 func TestWriteTooLongRejected(t *testing.T) {
 	m, _ := New(cfg(), 2, 1)
 	if err := m.Write(0, bytes.Repeat([]byte{1}, 9)); err == nil {

@@ -326,12 +326,17 @@ func TestStageFixedDAcrossRekey(t *testing.T) {
 			// Rekey with reads in flight AND requests parked in the stage:
 			// the drained completions come back re-tagged, each still
 			// exactly D after its issue.
+			c0 := m.Cycle()
 			drained, err := m.Rekey(4242)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(drained) == 0 {
-				t.Fatal("rekey drained nothing despite in-flight reads")
+			// Pinned: each channel is charged for its own words only, not
+			// for the shared store's total (268 words: 58/69/74/67 per
+			// channel), so the realigned rekey spans exactly what it did
+			// with one store per channel.
+			if got, pop := m.Cycle()-c0, m.chans[0].Store().Populated(); got != 1950 || len(drained) != 949 || pop != 268 {
+				t.Fatalf("rekey took %d cycles and drained %d over %d stored words, want 1950, 949, 268", got, len(drained), pop)
 			}
 			for _, c := range drained {
 				checkDiffComp(t, c, d, tagOp[c.Tag], got)

@@ -42,14 +42,21 @@ func driveHot(t *testing.T, m *Memory, cycles int) {
 	}
 }
 
-// TestWithProbesReconciles drives a probed striped memory and checks
-// every channel's probe counters against that channel's own Stats
-// ledger — and the channel gauges against the shared clock.
+// TestWithProbesReconciles drives a probed striped memory, publishes,
+// and checks every channel's probe counters against that channel's own
+// Stats ledger — and the channel gauges and histogram counts against
+// the shared clock.
 func TestWithProbesReconciles(t *testing.T) {
 	const channels = 4
 	t.Run("sequential", func(t *testing.T) {
 		m, reg := buildProbed(t, channels)
 		driveHot(t, m, 5000)
+		for m.Outstanding() > 0 { // drain, skipping the idle tails of the wait
+			if m.SkipIdle(^uint64(0)) == 0 {
+				m.Tick()
+			}
+		}
+		m.PublishProbes()
 
 		var buf bytes.Buffer
 		if _, err := reg.WriteTo(&buf); err != nil {
@@ -63,11 +70,12 @@ func TestWithProbesReconciles(t *testing.T) {
 			s := m.ChannelStats(ch)
 			label := strconv.Itoa(ch)
 			for key, want := range map[string]uint64{
-				`vpnm_cycle{channel="` + label + `"}`:              m.Cycle(),
-				`vpnm_reads_total{channel="` + label + `"}`:        s.Reads,
-				`vpnm_writes_total{channel="` + label + `"}`:       s.Writes,
-				`vpnm_merged_reads_total{channel="` + label + `"}`: s.MergedReads,
-				`vpnm_replays_total{channel="` + label + `"}`:      s.Completions,
+				`vpnm_cycle{channel="` + label + `"}`:                m.Cycle(),
+				`vpnm_reads_total{channel="` + label + `"}`:          s.Reads,
+				`vpnm_writes_total{channel="` + label + `"}`:         s.Writes,
+				`vpnm_merged_reads_total{channel="` + label + `"}`:   s.MergedReads,
+				`vpnm_replays_total{channel="` + label + `"}`:        s.Completions,
+				`vpnm_occupancy_rows_count{channel="` + label + `"}`: s.Cycles,
 			} {
 				got, ok := parsed[key]
 				if !ok {

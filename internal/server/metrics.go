@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"net/http"
@@ -60,16 +61,22 @@ func b2u(b bool) uint64 {
 
 // MetricsHandler serves the engine ledger plus every series in reg (the
 // per-channel controller metrics the probes maintain) as one Prometheus
-// text page — mount it at /metricsz. A nil reg serves the engine ledger
-// alone.
+// text page — mount it at /metricsz. Each scrape first has the engine
+// publish the probes' scrape-time ledgers at a step boundary, then
+// renders while holding off other scrapes, so every channel's gauges
+// and counters in one page come from the same cycle. A nil reg serves
+// the engine ledger alone.
 func (e *Engine) MetricsHandler(reg *telemetry.Registry) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		if err := e.WriteMetrics(w); err != nil {
-			return
-		}
+		var page bytes.Buffer
+		e.pubMu.Lock()
+		e.WriteMetrics(&page) //nolint:errcheck // a bytes.Buffer write cannot fail
 		if reg != nil {
-			reg.WriteTo(w) //nolint:errcheck // best-effort diagnostics
+			e.publishProbes()
+			reg.WriteTo(&page) //nolint:errcheck // a bytes.Buffer write cannot fail
 		}
+		e.pubMu.Unlock()
+		w.Write(page.Bytes()) //nolint:errcheck // best-effort diagnostics
 	})
 }

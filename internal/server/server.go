@@ -298,6 +298,16 @@ type Engine struct {
 	snapSeq                                atomic.Uint64
 	memReads, memWrites, memBusy, memStall atomic.Uint64
 
+	// Scrape handshake (publishProbes). The probes' gauges and counters
+	// are filled only on request: a /metricsz scrape sets pubReq and
+	// wakes the loop, and the engine goroutine — the memory's only owner
+	// — publishes every channel's ledger at its next step boundary (the
+	// end of step, or either parked branch of loop) and signals pubDone.
+	// pubMu serializes scrapes, so at most one request is in flight.
+	pubMu   sync.Mutex
+	pubReq  atomic.Bool
+	pubDone chan struct{}
+
 	work     chan struct{}
 	frames   chan inFrame
 	done     chan struct{}
@@ -351,6 +361,7 @@ func New(cfg Config) (*Engine, error) {
 		ports:      cfg.Mem.Ports(),
 		sessByID:   make(map[uint64]*session),
 		work:       make(chan struct{}, 1),
+		pubDone:    make(chan struct{}, 1),
 		frames:     make(chan inFrame, 16),
 		done:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
@@ -690,6 +701,7 @@ func (e *Engine) loop() {
 			if e.pendingTot.Load() == 0 &&
 				!(e.draining.Load() && (e.stageTot.Load() > 0 || e.outstanding.Load() > 0)) {
 				e.checkDrained()
+				e.servePublish()
 				select {
 				case fr := <-e.frames:
 					e.admit(fr)
@@ -701,6 +713,7 @@ func (e *Engine) loop() {
 			}
 		} else if e.pendingTot.Load() == 0 && e.outstanding.Load() == 0 && e.stageTot.Load() == 0 {
 			e.checkDrained()
+			e.servePublish()
 			select {
 			case <-e.work:
 			case <-e.done:
@@ -827,6 +840,38 @@ func (e *Engine) step() {
 		e.prune(sessions)
 	}
 	e.checkDrained()
+	e.servePublish()
+}
+
+// servePublish answers a pending scrape handshake: publish every
+// channel's probe ledger, then release the scraper. Engine goroutine
+// only, at a step boundary; one atomic load when nobody is scraping.
+func (e *Engine) servePublish() {
+	if e.pubReq.Load() {
+		e.pubReq.Store(false)
+		e.mem.PublishProbes()
+		e.pubDone <- struct{}{}
+	}
+}
+
+// publishProbes has the memory's probes publish their scrape-time
+// ledgers and returns once they have. While the engine runs, the engine
+// goroutine does it at a step boundary (servePublish) — the memory is
+// single-owner, and reading its plain fields from here would race. Once
+// the loop has exited, the memory has no other owner and is published
+// directly. Called with pubMu held.
+func (e *Engine) publishProbes() {
+	if !e.closed.Load() {
+		e.pubReq.Store(true)
+		e.wake()
+		select {
+		case <-e.pubDone:
+			return
+		case <-e.loopDone:
+		}
+	}
+	<-e.loopDone
+	e.mem.PublishProbes()
 }
 
 // noteOut marks s as having staged output this step; the end-of-step

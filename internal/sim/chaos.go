@@ -242,6 +242,7 @@ func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
 	}
 
 	res.Stats = ctrl.Stats()
+	ctrl.PublishProbe() // a probed run's gauges and counters end on the same ledger
 	res.Fault = inj.Counters()
 	res.Recovery = ret.Counters()
 	res.Sim.Reads = res.Recovery.Reads

@@ -13,10 +13,11 @@ import (
 // TestChaosTelemetryReconciliation is the acceptance trial for the
 // telemetry subsystem ("Chaos" in the name keeps it in the make chaos
 // smoke): a MemProbe rides a 1,000,000-cycle chaos run under a hot
-// workload, then the /metricsz-style Prometheus exposition is rendered,
-// re-parsed, and reconciled EXACTLY — counter for counter — against the
-// controller's own Stats ledger. The MTS estimator must come out of the
-// same run with a finite, positive estimate.
+// workload, RunChaos publishes the final ledger to it, then the
+// /metricsz-style Prometheus exposition is rendered, re-parsed, and
+// reconciled EXACTLY — counter for counter — against the controller's
+// own Stats ledger. The MTS estimator must come out of the same run
+// with a finite, positive estimate.
 func TestChaosTelemetryReconciliation(t *testing.T) {
 	cycles := 1_000_000
 	if testing.Short() {
@@ -78,9 +79,12 @@ func TestChaosTelemetryReconciliation(t *testing.T) {
 			t.Errorf("%s = %.0f, want exactly %d", key, got, want)
 		}
 	}
-	// The histograms saw one observation per interface cycle.
-	if got := parsed[`vpnm_occupancy_rows_count{channel="0"}`]; uint64(got) != s.Cycles {
-		t.Errorf("occupancy histogram count = %.0f, want one per cycle (%d)", got, s.Cycles)
+	// The histograms saw every interface cycle, idle spans at their
+	// weight.
+	for _, h := range []string{"vpnm_occupancy_rows", "vpnm_max_bank_queue_depth"} {
+		if got := parsed[h+`_count{channel="0"}`]; uint64(got) != s.Cycles {
+			t.Errorf("%s count = %.0f, want one per cycle (%d)", h, got, s.Cycles)
+		}
 	}
 
 	// The workload must have been violent enough for the reconciliation

@@ -63,15 +63,15 @@ func (g *Gauge) Load() int64 { return g.v.Load() }
 // and safe for concurrent use.
 //
 // Snapshot is lock-free: a snapshot taken during a concurrent Observe
-// is race-clean and each field is internally consistent, but the Count
-// field may momentarily trail the bucket sum (Observe increments the
-// bucket first). The single-writer clock goroutine plus
+// is race-clean, and its Count is the sum of the buckets it read, so
+// the two always agree. Sum may momentarily lag the buckets (Observe
+// bumps the bucket first). The single-writer clock goroutine plus
 // snapshot-at-quiescence is the intended precise-read pattern; the
 // -race edge-case tests pin the concurrent behaviour.
 type Histogram struct {
 	bounds  []uint64
+	unit    bool            // bounds run 0..len(bounds)-1, so bucket(v) = min(v, len)
 	buckets []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count   atomic.Uint64
 	sum     atomic.Uint64
 }
 
@@ -88,6 +88,7 @@ func NewHistogram(bounds []uint64) *Histogram {
 	}
 	return &Histogram{
 		bounds:  append([]uint64(nil), bounds...),
+		unit:    bounds[0] == 0 && bounds[len(bounds)-1] == uint64(len(bounds)-1),
 		buckets: make([]atomic.Uint64, len(bounds)+1),
 	}
 }
@@ -126,13 +127,46 @@ func ExponentialBounds(start uint64, factor float64, n int) []uint64 {
 
 // Observe records one value.
 func (h *Histogram) Observe(v uint64) {
+	h.buckets[h.bucket(v)].Add(1)
+	h.sum.Add(v)
+}
+
+// bucket returns the index of the bucket v falls in.
+func (h *Histogram) bucket(v uint64) int {
+	if h.unit {
+		return int(min(v, uint64(len(h.bounds))))
+	}
 	i := 0
 	for i < len(h.bounds) && v > h.bounds[i] {
 		i++
 	}
-	h.buckets[i].Add(1)
-	h.count.Add(1)
-	h.sum.Add(v)
+	return i
+}
+
+// tally is a histogram's single-writer front end: observe(v, n) records
+// v n times — a span of n cycles that all held v is one weighted
+// observation — with plain adds, and flush folds the tally into the
+// histogram's atomics.
+type tally struct {
+	h      *Histogram
+	counts []uint64
+	sum    uint64
+}
+
+func newTally(h *Histogram) tally { return tally{h: h, counts: make([]uint64, len(h.buckets))} }
+
+func (t *tally) observe(v, n uint64) {
+	t.counts[t.h.bucket(v)] += n
+	t.sum += v * n
+}
+
+func (t *tally) flush() {
+	for i, n := range t.counts {
+		t.h.buckets[i].Add(n)
+		t.counts[i] = 0
+	}
+	t.h.sum.Add(t.sum)
+	t.sum = 0
 }
 
 // HistogramSnapshot is a point-in-time copy of a histogram.
@@ -151,11 +185,11 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	s := HistogramSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.buckets)),
-		Count:  h.count.Load(),
 		Sum:    h.sum.Load(),
 	}
 	for i := range h.buckets {
 		s.Counts[i] = h.buckets[i].Load()
+		s.Count += s.Counts[i]
 	}
 	return s
 }

@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -61,10 +62,31 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 }
 
+// TestTallyMatchesRepeatedObserve pins the weighted observation an idle
+// span makes: a flushed tally.observe(v, n) leaves exactly the state of
+// n Observe(v) calls, on unit bounds (the direct bucket path) and on
+// spaced ones.
+func TestTallyMatchesRepeatedObserve(t *testing.T) {
+	for _, bounds := range [][]uint64{{0, 1, 2}, {2, 4}} {
+		one, weighted := NewHistogram(bounds), NewHistogram(bounds)
+		tl := newTally(weighted)
+		for _, v := range []uint64{0, 1, 3, 3, 9} {
+			for i := 0; i < 5; i++ {
+				one.Observe(v)
+			}
+			tl.observe(v, 5)
+		}
+		tl.flush()
+		if a, b := one.Snapshot(), weighted.Snapshot(); !reflect.DeepEqual(a, b) {
+			t.Fatalf("bounds %v: tally snapshot %+v, repeated Observe %+v", bounds, b, a)
+		}
+	}
+}
+
 // TestHistogramSnapshotDuringUpdate hammers Observe from several
 // goroutines while snapshotting: run under -race this proves the
 // histogram is race-clean, and each snapshot must be internally sane
-// (bucket sum never behind Count, since Observe bumps buckets first).
+// (Count is the sum of the buckets the snapshot read).
 func TestHistogramSnapshotDuringUpdate(t *testing.T) {
 	h := NewHistogram(LinearBounds(0, 1, 8))
 	const writers, perWriter = 4, 5000

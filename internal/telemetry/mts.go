@@ -16,13 +16,12 @@ import (
 // the full-queue level (analysis.ExcursionMTS). When stalls do occur,
 // the observed stall rate takes over.
 //
-// Observe is allocation-free and single-writer (the clock-owning
+// ObserveN is allocation-free and single-writer (the clock-owning
 // goroutine); Report may be called concurrently from scrape handlers.
 type MTSEstimator struct {
 	counts []atomic.Uint64 // counts[k]: cycles whose max bank queue was k (clamped)
-	ticks  atomic.Uint64
-	reqs   atomic.Uint64 // cumulative requests at the last sample
-	stalls atomic.Uint64 // cumulative stalls at the last sample
+	reqs   atomic.Uint64   // cumulative requests at the last SetLedger
+	stalls atomic.Uint64   // cumulative stalls at the last SetLedger
 
 	// Optional chain-model parameters (Model).
 	banks, latency int
@@ -54,30 +53,23 @@ func (e *MTSEstimator) Model(banks, accessLatency int, ratio float64) {
 
 func (e *MTSEstimator) modeled() bool { return e.banks > 0 }
 
-// Observe records one cycle: the deepest bank queue, the cumulative
-// request count, and the cumulative stall ledger.
-func (e *MTSEstimator) Observe(maxBankQueue int, reqsTotal uint64, stalls [NumStallCauses]uint64) {
-	k := maxBankQueue
-	if k >= len(e.counts) {
-		k = len(e.counts) - 1
-	}
-	if k < 0 {
-		k = 0
-	}
-	e.counts[k].Add(1)
-	e.ticks.Add(1)
+// ObserveN records n cycles whose deepest bank queue was maxBankQueue.
+func (e *MTSEstimator) ObserveN(maxBankQueue int, n uint64) {
+	e.counts[min(max(maxBankQueue, 0), len(e.counts)-1)].Add(n)
+}
+
+// SetLedger records the cumulative request and stall counts the
+// estimates divide by. They change only when requests arrive, so a
+// probe sets them at scrape time rather than every cycle.
+func (e *MTSEstimator) SetLedger(reqsTotal, stallsTotal uint64) {
 	e.reqs.Store(reqsTotal)
-	var total uint64
-	for _, s := range stalls {
-		total += s
-	}
-	e.stalls.Store(total)
+	e.stalls.Store(stallsTotal)
 }
 
 // MTSReport is a point-in-time MTS estimate.
 type MTSReport struct {
 	// Ticks is the number of cycles observed; Requests and Stalls the
-	// cumulative ledgers at the last sample.
+	// cumulative ledgers at the last SetLedger.
 	Ticks, Requests, Stalls uint64
 	// Excursion is the occupancy-excursion estimate in interface
 	// cycles: observed stall rate when stalls occurred, geometric tail
@@ -92,13 +84,13 @@ type MTSReport struct {
 // Report computes the current estimate.
 func (e *MTSEstimator) Report() MTSReport {
 	r := MTSReport{
-		Ticks:    e.ticks.Load(),
 		Requests: e.reqs.Load(),
 		Stalls:   e.stalls.Load(),
 	}
 	counts := make([]uint64, len(e.counts))
 	for i := range e.counts {
 		counts[i] = e.counts[i].Load()
+		r.Ticks += counts[i]
 	}
 	r.Excursion = analysis.ExcursionMTS(counts, r.Stalls)
 	if e.modeled() {

@@ -6,22 +6,12 @@ import (
 	"repro/internal/analysis"
 )
 
-func feed(e *MTSEstimator, k int, n int) {
-	var noStalls [NumStallCauses]uint64
-	for i := 0; i < n; i++ {
-		e.Observe(k, 1, noStalls)
-	}
-}
+func feed(e *MTSEstimator, k int, n int) { e.ObserveN(k, uint64(n)) }
 
 func TestMTSEstimatorStallRate(t *testing.T) {
 	e := NewMTSEstimator(8)
-	var stalls [NumStallCauses]uint64
-	for i := 0; i < 1000; i++ {
-		if i%100 == 99 {
-			stalls[CauseBankQueue]++
-		}
-		e.Observe(2, uint64(i), stalls)
-	}
+	e.ObserveN(2, 1000)
+	e.SetLedger(999, 10)
 	r := e.Report()
 	if r.Ticks != 1000 || r.Stalls != 10 {
 		t.Fatalf("ticks/stalls = %d/%d, want 1000/10", r.Ticks, r.Stalls)
@@ -64,9 +54,8 @@ func TestMTSEstimatorNoSignal(t *testing.T) {
 
 func TestMTSEstimatorClampsLevel(t *testing.T) {
 	e := NewMTSEstimator(4)
-	var noStalls [NumStallCauses]uint64
-	e.Observe(100, 1, noStalls) // above Q: clamps to the full level
-	e.Observe(-1, 1, noStalls)  // defensive: clamps to zero
+	e.ObserveN(100, 1) // above Q: clamps to the full level
+	e.ObserveN(-1, 1)  // defensive: clamps to zero
 	r := e.Report()
 	if r.Ticks != 2 {
 		t.Fatalf("Ticks = %d, want 2", r.Ticks)
@@ -88,19 +77,18 @@ func TestMTSEstimatorModel(t *testing.T) {
 	}
 	// Light load, shallow backlog: the chain at the observed rate must
 	// produce a positive, capped estimate.
-	var noStalls [NumStallCauses]uint64
-	for i := 0; i < 1000; i++ {
-		e.Observe(i%2, uint64(i/2), noStalls)
-	}
+	e.ObserveN(0, 500)
+	e.ObserveN(1, 500)
+	e.SetLedger(500, 0)
 	r := e.Report()
 	if r.Model <= 0 || r.Model > analysis.MTSCap {
 		t.Fatalf("Model = %g, want in (0, MTSCap]", r.Model)
 	}
 	// The memo holds until ticks double, then recomputes without error.
 	first := r.Model
-	for i := 0; i < 3000; i++ {
-		e.Observe(i%2, uint64(500+i/2), noStalls)
-	}
+	e.ObserveN(0, 1500)
+	e.ObserveN(1, 1500)
+	e.SetLedger(2000, 0)
 	r2 := e.Report()
 	if r2.Model <= 0 {
 		t.Fatalf("recomputed Model = %g, want > 0 (memo refresh; first was %g)", r2.Model, first)
@@ -110,11 +98,10 @@ func TestMTSEstimatorModel(t *testing.T) {
 func TestMTSEstimatorObserveAllocationFree(t *testing.T) {
 	e := NewMTSEstimator(16)
 	e.Model(16, 20, 1.3)
-	var stalls [NumStallCauses]uint64
 	allocs := testing.AllocsPerRun(1000, func() {
-		e.Observe(3, 12345, stalls)
+		e.ObserveN(3, 7)
 	})
 	if allocs != 0 {
-		t.Fatalf("Observe allocates %v allocs/op, want 0", allocs)
+		t.Fatalf("ObserveN allocates %v allocs/op, want 0", allocs)
 	}
 }

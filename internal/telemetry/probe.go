@@ -38,63 +38,47 @@ func (c StallCause) String() string {
 	}
 }
 
-// TickSample is one interface cycle's view of a controller, published
-// through Probe.ObserveTick at the end of every Tick. Occupancy fields
-// are instantaneous; Reads/Writes/MergedReads/Replays/Stalls are the
-// controller's cumulative ledger, so a probe can reconcile its own
-// counters against core.Stats exactly.
-//
-// The PerBank slices are owned by the controller and valid only for the
-// duration of the ObserveTick call; probes that keep per-bank state
-// across cycles must copy.
+// TickSample carries the inputs of the per-cycle distributions: the
+// deepest bank queue (what the MTS estimator extrapolates from), delay
+// storage buffer rows in use, and reads granted (up to K with coded
+// banks). Tick publishes it with Cycles = 1; SkipIdle publishes one per
+// idle span with Cycles = k, since k identical cycles are one
+// observation of weight k. Cycle is the last cycle covered.
 type TickSample struct {
-	// Cycle is the interface cycle just completed.
-	Cycle uint64
-	// QueueDepth is the total bank access queue occupancy across banks;
-	// MaxBankQueue is the deepest single bank's queue — the quantity
-	// whose excursions the MTS estimator extrapolates from.
-	QueueDepth   int
-	MaxBankQueue int
-	// DelayRowsInUse is the total delay storage buffer occupancy, the
-	// paper's buffer-occupancy quantity (Little's-law bounded by D).
-	DelayRowsInUse int
-	// WriteBufInUse is the total write buffer FIFO occupancy.
-	WriteBufInUse int
-	// PerBankQueue and PerBankRows break QueueDepth and DelayRowsInUse
-	// down by bank. Aliased; valid only during ObserveTick.
-	PerBankQueue []int32
-	PerBankRows  []int32
-	// Cumulative controller ledger at this cycle.
-	Reads, Writes, MergedReads uint64
-	// Replays counts playbacks delivered on the interface (the
-	// controller's Completions counter).
-	Replays uint64
-	// Stalls is the cumulative stall ledger by cause.
-	Stalls [NumStallCauses]uint64
-	// Coded-mode ledger; all zero when XOR-parity bank groups are
-	// disabled. CodedGrants is instantaneous (reads granted in the cycle
-	// just completed — the multi-port arbiter's per-cycle grant count);
-	// the rest are cumulative like the fields above.
-	CodedGrants       int
-	CodedDecodes      uint64
-	CodedDecodeReads  uint64
-	CodedParityWrites uint64
-	CodedRMWReads     uint64
+	Cycle, Cycles                             uint64
+	MaxBankQueue, DelayRowsInUse, CodedGrants int
 }
 
-// Probe receives one TickSample per interface cycle from a controller
-// whose Config.Probe is set. Implementations must be allocation-free
-// and must not retain the sample's slices. A nil probe costs nothing:
-// the controller skips sampling entirely, and the differential tests
-// prove the nil path is cycle-for-cycle identical to the probed one.
+// Ledger is a controller's scrape-time state, filled only by
+// Controller.PublishProbe: occupancy totals (and the per-bank breakdown,
+// valid only during Publish) plus the cumulative ledger copied from
+// core.Stats, so a probe's counters reconcile against it exactly.
+// Replays is Stats.Completions; the coded fields are zero without coded
+// banks.
+type Ledger struct {
+	Cycle                                                            uint64
+	QueueDepth, DelayRowsInUse, WriteBufInUse                        int
+	PerBankQueue, PerBankRows                                        []int32
+	Reads, Writes, MergedReads, Replays                              uint64
+	Stalls                                                           [NumStallCauses]uint64
+	CodedDecodes, CodedDecodeReads, CodedParityWrites, CodedRMWReads uint64
+}
+
+// Probe observes a controller whose Config.Probe is set. ObserveTick
+// runs on the clock and must be allocation-free; Publish runs at scrape
+// time on the controller's goroutine. Neither may retain its argument.
+// A nil probe costs nothing, and the differential tests prove the nil
+// path cycle-for-cycle identical to the probed one.
 type Probe interface {
 	ObserveTick(s *TickSample)
+	Publish(l *Ledger)
 }
 
-// MemProbe is the standard Probe: it publishes a controller's per-cycle
-// state into a Registry as Prometheus series, maintains occupancy
-// histograms, and optionally feeds an MTSEstimator. Updates are
-// allocation-free; the gated BenchmarkProbeOverhead pins the overhead.
+// MemProbe is the standard Probe. On the clock it tallies the per-cycle
+// distributions with plain adds (BenchmarkProbeOverhead pins the cost);
+// Publish copies the Ledger into gauges and counters and folds the
+// tallies into the histograms and the MTSEstimator, so every series it
+// owns reads as of the last publish.
 type MemProbe struct {
 	cycle     *Gauge
 	queue     *Gauge
@@ -106,14 +90,14 @@ type MemProbe struct {
 	reads, writes, merged, replays *Counter
 	stalls                         [NumStallCauses]*Counter
 
-	occHist   *Histogram // delay-buffer occupancy per tick
-	queueHist *Histogram // max single-bank queue depth per tick
+	occ  tally // delay-buffer occupancy per cycle
+	maxQ tally // deepest single-bank queue per cycle; bucket i is depth i
 
-	// Coded-mode series, nil until EnableCoded; ObserveTick skips them
-	// while nil so uncoded probes pay nothing for the fields.
+	// Coded-mode series, nil until EnableCoded; ObserveTick and Publish
+	// skip them while nil so uncoded probes pay nothing for the fields.
 	codedDecodes, codedDecodeReads *Counter
 	codedParityWrites, codedRMW    *Counter
-	codedGrantsHist                *Histogram // arbiter grants per cycle
+	grants                         tally // arbiter grants per cycle
 
 	est *MTSEstimator
 }
@@ -138,8 +122,8 @@ func NewMemProbe(reg *Registry, channel string, banks, queueDepth, rowBound int)
 		writes:    reg.Counter("vpnm_writes_total", "Accepted write requests.", "channel", channel),
 		merged:    reg.Counter("vpnm_merged_reads_total", "Reads satisfied by an existing delay storage buffer row.", "channel", channel),
 		replays:   reg.Counter("vpnm_replays_total", "Playbacks delivered on the interface (completions).", "channel", channel),
-		occHist:   reg.Histogram("vpnm_occupancy_rows", "Per-cycle delay storage buffer occupancy (rows).", occupancyBounds(rowBound), "channel", channel),
-		queueHist: reg.Histogram("vpnm_max_bank_queue_depth", "Per-cycle deepest bank access queue.", LinearBounds(0, 1, queueDepth+1), "channel", channel),
+		occ:       newTally(reg.Histogram("vpnm_occupancy_rows", "Per-cycle delay storage buffer occupancy (rows).", occupancyBounds(rowBound), "channel", channel)),
+		maxQ:      newTally(reg.Histogram("vpnm_max_bank_queue_depth", "Per-cycle deepest bank access queue.", LinearBounds(0, 1, queueDepth+1), "channel", channel)),
 		bankQueue: make([]*Gauge, banks),
 		bankRows:  make([]*Gauge, banks),
 	}
@@ -182,13 +166,15 @@ func (p *MemProbe) EnableCoded(reg *Registry, channel string, k int) {
 		"Parity words written through; physical writes are data writes plus this.", "channel", channel)
 	p.codedRMW = reg.Counter("vpnm_coded_rmw_reads_total",
 		"Old-data and old-parity reads behind parity read-modify-writes.", "channel", channel)
-	p.codedGrantsHist = reg.Histogram("vpnm_coded_grants_per_cycle",
+	p.grants = newTally(reg.Histogram("vpnm_coded_grants_per_cycle",
 		"Reads granted per interface cycle by the multi-port arbiter.",
-		LinearBounds(0, 1, k+2), "channel", channel)
+		LinearBounds(0, 1, k+2), "channel", channel))
 }
 
-// AttachEstimator feeds every sample's occupancy excursion into est and
-// registers the live MTS estimates as gauge functions under reg.
+// AttachEstimator feeds est every observed cycle's deepest queue (from
+// the vpnm_max_bank_queue_depth tally, so size both by the same Q) and
+// every published ledger's request and stall totals, and registers the
+// live MTS estimates as gauge functions under reg.
 func (p *MemProbe) AttachEstimator(reg *Registry, est *MTSEstimator, channel string) {
 	p.est = est
 	reg.GaugeFunc("vpnm_mts_estimate_cycles",
@@ -201,38 +187,51 @@ func (p *MemProbe) AttachEstimator(reg *Registry, est *MTSEstimator, channel str
 	}
 }
 
-// Estimator returns the attached MTS estimator, or nil.
-func (p *MemProbe) Estimator() *MTSEstimator { return p.est }
-
-// ObserveTick implements Probe.
+// ObserveTick implements Probe: one weighted observation per
+// distribution.
 func (p *MemProbe) ObserveTick(s *TickSample) {
-	p.cycle.Set(int64(s.Cycle))
-	p.queue.Set(int64(s.QueueDepth))
-	p.rows.Set(int64(s.DelayRowsInUse))
-	p.wb.Set(int64(s.WriteBufInUse))
-	for i, q := range s.PerBankQueue {
+	p.occ.observe(uint64(s.DelayRowsInUse), s.Cycles)
+	p.maxQ.observe(uint64(s.MaxBankQueue), s.Cycles)
+	if p.grants.h != nil {
+		p.grants.observe(uint64(s.CodedGrants), s.Cycles)
+	}
+}
+
+// Publish implements Probe: it copies the ledger into the registry's
+// gauges and counters and flushes the per-cycle tallies.
+func (p *MemProbe) Publish(l *Ledger) {
+	p.cycle.Set(int64(l.Cycle))
+	p.queue.Set(int64(l.QueueDepth))
+	p.rows.Set(int64(l.DelayRowsInUse))
+	p.wb.Set(int64(l.WriteBufInUse))
+	for i, q := range l.PerBankQueue {
 		p.bankQueue[i].Set(int64(q))
+		p.bankRows[i].Set(int64(l.PerBankRows[i]))
 	}
-	for i, r := range s.PerBankRows {
-		p.bankRows[i].Set(int64(r))
+	p.reads.Store(l.Reads)
+	p.writes.Store(l.Writes)
+	p.merged.Store(l.MergedReads)
+	p.replays.Store(l.Replays)
+	var stalls uint64
+	for cause, n := range l.Stalls {
+		p.stalls[cause].Store(n)
+		stalls += n
 	}
-	p.reads.Store(s.Reads)
-	p.writes.Store(s.Writes)
-	p.merged.Store(s.MergedReads)
-	p.replays.Store(s.Replays)
-	for cause := StallCause(0); cause < NumStallCauses; cause++ {
-		p.stalls[cause].Store(s.Stalls[cause])
-	}
-	p.occHist.Observe(uint64(s.DelayRowsInUse))
-	p.queueHist.Observe(uint64(s.MaxBankQueue))
 	if p.codedDecodes != nil {
-		p.codedDecodes.Store(s.CodedDecodes)
-		p.codedDecodeReads.Store(s.CodedDecodeReads)
-		p.codedParityWrites.Store(s.CodedParityWrites)
-		p.codedRMW.Store(s.CodedRMWReads)
-		p.codedGrantsHist.Observe(uint64(s.CodedGrants))
+		p.codedDecodes.Store(l.CodedDecodes)
+		p.codedDecodeReads.Store(l.CodedDecodeReads)
+		p.codedParityWrites.Store(l.CodedParityWrites)
+		p.codedRMW.Store(l.CodedRMWReads)
 	}
 	if p.est != nil {
-		p.est.Observe(s.MaxBankQueue, s.Reads+s.Writes, s.Stalls)
+		for depth, n := range p.maxQ.counts {
+			p.est.ObserveN(depth, n)
+		}
+		p.est.SetLedger(l.Reads+l.Writes, stalls)
+	}
+	p.occ.flush()
+	p.maxQ.flush()
+	if p.grants.h != nil {
+		p.grants.flush()
 	}
 }

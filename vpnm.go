@@ -132,23 +132,28 @@ func DelayBufferMTS(b, k, d int) float64 { return analysis.DelayBufferMTS(b, k, 
 func BankQueueMTS(b, q, l int, r float64) float64 { return analysis.BankQueueMTS(b, q, l, r) }
 
 // Observability, re-exported from the telemetry package. Set
-// Config.Probe to observe the controller's per-cycle state — queue
-// depths, buffer occupancies, stall causes — without touching the hot
-// path's allocation behaviour (a nil Probe costs nothing), and
-// Config.Trace to stream cycle-stamped events into an EventTrace ring
-// for Chrome trace_event dumps.
+// Config.Probe to observe the controller — per-cycle occupancy
+// distributions on the clock, queue depths, buffer occupancies and
+// stall causes whenever Controller.PublishProbe is called — without
+// touching the hot path's allocation behaviour (a nil Probe costs
+// nothing), and Config.Trace to stream cycle-stamped events into an
+// EventTrace ring for Chrome trace_event dumps.
 type (
-	// Probe receives one TickSample per interface cycle.
+	// Probe receives per-cycle TickSamples and published Ledgers.
 	Probe = telemetry.Probe
-	// TickSample is the controller state published to a Probe each cycle.
+	// TickSample carries one cycle's (or one idle span's) inputs to the
+	// per-cycle distributions.
 	TickSample = telemetry.TickSample
+	// Ledger is the scrape-time state handed to Probe.Publish.
+	Ledger = telemetry.Ledger
 	// StallCause labels the four stall conditions in telemetry.
 	StallCause = telemetry.StallCause
 	// MetricsRegistry holds allocation-free counters, gauges and
 	// histograms and renders them in Prometheus text format.
 	MetricsRegistry = telemetry.Registry
-	// MemProbe is the standard Probe: it mirrors every TickSample into
-	// registry metrics (and optionally an MTS estimator).
+	// MemProbe is the standard Probe: it keeps TickSamples as
+	// histograms (and optionally an MTS estimator) and copies published
+	// Ledgers into registry metrics.
 	MemProbe = telemetry.MemProbe
 	// EventTrace is a bounded ring of cycle-stamped controller events
 	// that dumps as Chrome trace_event JSON.
