@@ -109,6 +109,40 @@ func TestReadWriteFlushStats(t *testing.T) {
 	}
 }
 
+// TestFlushOneBarrierPerCall pins that each Client.Flush resolves with
+// exactly one OpFlush barrier in Lockstep. The engine stages a
+// StatusFlushed reply only once nothing is outstanding, in the same
+// step as the session's last completions; if the writer put that reply
+// on the wire ahead of those completions, the client would find reads
+// still pending when the barrier resolved and send a second barrier.
+func TestFlushOneBarrierPerCall(t *testing.T) {
+	c, eng, _ := pipeClient(t, server.Config{Lockstep: true}, smallCfg(), 4,
+		client.Config{Window: 4096, MaxBatch: 64, ManualBatch: true})
+	tctx := ctx(t)
+	var addr uint64 = 1
+	for i := 0; i < 200; i++ {
+		for j := 0; j < 64; j++ {
+			addr = addr*6364136223846793005 + 1442695040888963407
+			if err := c.Read(tctx, addr>>40, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := c.Kick(); err != nil {
+			t.Fatal(err)
+		}
+		before := eng.Snapshot().Flushes
+		if err := c.Flush(tctx); err != nil {
+			t.Fatal(err)
+		}
+		if got := eng.Snapshot().Flushes - before; got != 1 {
+			t.Fatalf("Flush %d resolved %d barriers, want 1", i, got)
+		}
+	}
+	if ctr := c.Counters(); ctr.Completions != 200*64 {
+		t.Fatalf("counters = %+v, want %d completions", ctr, 200*64)
+	}
+}
+
 // TestStallRetry drives a one-bank queue-depth-one memory through a
 // stall-surfacing server; the client's RetryNextCycle policy must
 // re-issue every stalled read until all of them complete at exactly D.

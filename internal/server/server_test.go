@@ -98,9 +98,10 @@ func (h *harness) awaitReply(seq uint64) wire.Reply {
 	}
 }
 
-// awaitVerdict receives until seq resolves one way or the other — a
-// reply frame can overtake an earlier-staged completion frame — and
-// reports its reply, or isReply false when it completed instead.
+// awaitVerdict receives until seq resolves one way or the other —
+// replies and completions travel in separate frames, and a writer batch
+// encodes its completions first — and reports its reply, or isReply
+// false when it completed instead.
 func (h *harness) awaitVerdict(seq uint64) (r wire.Reply, isReply bool) {
 	h.t.Helper()
 	for {
