@@ -52,17 +52,38 @@ func loopbackCfg() core.Config {
 // requests for caller-side ledger checks.
 func runServerLoopback(b *testing.B, cfg core.Config, reg *qos.Regulator, tenant string, ooo bool) uint64 {
 	b.Helper()
+	cycles := loopbackCycles(b, cfg, reg, tenant, ooo, b.N, func(run func()) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		run()
+		b.StopTimer()
+	})
+	total := uint64(b.N) * loopBatch
+	b.ReportMetric(float64(total)/float64(cycles), "req/cycle")
+	b.ReportMetric(float64(cycles), "cycles")
+	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "req/s")
+	return total
+}
+
+// loopbackCycles builds the loopback stack, saturates and drains it
+// once, then sends batches more batches of reads — inside timed, which
+// must call its argument exactly once — and returns the interface
+// cycles from the end of the warmup to the end of the closing Flush.
+// The request stream is a fixed PCG sequence, so in Lockstep the count
+// is a pure function of the stack and batches.
+func loopbackCycles(tb testing.TB, cfg core.Config, reg *qos.Regulator, tenant string, ooo bool, batches int, timed func(run func())) uint64 {
+	tb.Helper()
 	mem, err := multichannel.New(cfg, loopChannels, 1)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	eng, err := server.New(server.Config{Mem: mem, QoS: reg, Lockstep: true, OOO: ooo})
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	cn, sn := net.Pipe()
 	if err := eng.ServeConn(sn); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	// The window must exceed the stack's structural in-flight bound: a
 	// lockstep engine never ticks while idle, so a client blocked
@@ -87,11 +108,11 @@ func runServerLoopback(b *testing.B, cfg core.Config, reg *qos.Regulator, tenant
 		for n := 0; n < batches; n++ {
 			for j := 0; j < loopBatch; j++ {
 				if err := c.Read(ctx, rng.Uint64N(1<<24), nil); err != nil {
-					b.Fatal(err)
+					tb.Fatal(err)
 				}
 			}
 			if err := c.Kick(); err != nil {
-				b.Fatal(err)
+				tb.Fatal(err)
 			}
 		}
 	}
@@ -101,42 +122,66 @@ func runServerLoopback(b *testing.B, cfg core.Config, reg *qos.Regulator, tenant
 	// the timed phase.
 	send(loopWarmup)
 	if err := c.Flush(ctx); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	before, err := c.Stats(ctx)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		send(1)
-	}
-	b.StopTimer()
+	timed(func() { send(batches) })
 
 	if err := c.Flush(ctx); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	after, err := c.Stats(ctx)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
-	total := uint64(b.N) * loopBatch
-	want := total + loopWarmup*loopBatch
+	want := uint64(batches+loopWarmup) * loopBatch
 	ctr := c.Counters()
 	if ctr.Completions != want || ctr.Drops != 0 {
-		b.Fatalf("ledger = %+v, want %d completions", ctr, want)
+		tb.Fatalf("ledger = %+v, want %d completions", ctr, want)
 	}
 	if ctr.LatencyViolations != 0 {
-		b.Fatalf("%d fixed-D violations", ctr.LatencyViolations)
+		tb.Fatalf("%d fixed-D violations", ctr.LatencyViolations)
 	}
-	cycles := after.Cycle - before.Cycle
-	b.ReportMetric(float64(total)/float64(cycles), "req/cycle")
-	b.ReportMetric(float64(cycles), "cycles")
-	b.ReportMetric(float64(total)/b.Elapsed().Seconds(), "req/s")
-	return total
+	return after.Cycle - before.Cycle
 }
+
+// TestLoopbackCyclesExact pins the Lockstep loopback stacks' cycle
+// counts for a fixed batch count. Lockstep admission, ManualBatch
+// framing and a seeded request stream make the count a pure function
+// of the engine, so any change to issue, arbitration or delivery
+// timing — or a nondeterminism — moves it.
+func TestLoopbackCyclesExact(t *testing.T) {
+	ooo := loopbackCfg()
+	ooo.Banks = 32
+	cod := loopbackCfg()
+	cod.Coded = coded.Geometry{Group: 4, K: 2}
+	for _, tc := range []struct {
+		name string
+		cfg  core.Config
+		ooo  bool
+		want uint64
+	}{
+		{"in-order", loopbackCfg(), false, 70293},
+		{"ooo-32-banks", ooo, true, 33316},
+		{"coded-group4-k2", cod, false, 35392},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			got := loopbackCycles(t, tc.cfg, nil, "", tc.ooo, loopExactBatches, func(run func()) { run() })
+			if got != tc.want {
+				t.Fatalf("%d batches took %d cycles, want %d", loopExactBatches, got, tc.want)
+			}
+		})
+	}
+}
+
+// loopExactBatches is TestLoopbackCyclesExact's batch count: the
+// -benchtime the Makefile pins for the in-order and OOO loopback
+// benchmarks.
+const loopExactBatches = 2000
 
 func BenchmarkServerLoopback(b *testing.B) {
 	runServerLoopback(b, loopbackCfg(), nil, "", false)
