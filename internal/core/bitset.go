@@ -4,12 +4,13 @@ import "math/bits"
 
 // bankSet is a fixed-width bitmap over bank indices — the allocation-free
 // active-bank set behind the event-driven Tick. The controller keeps one
-// for banks with a non-empty access queue (the arbiter's candidates) and
-// one for banks with an in-flight DRAM access (the flush candidates), so
-// per-cycle work visits only banks that actually have something to do.
-// Membership updates are O(1); in-order iteration costs one
-// TrailingZeros64 per member plus one word-load per 64 banks scanned,
-// which is what turns the controller's O(Banks) scans into O(active).
+// for banks with a non-empty access queue, one for banks with a DRAM
+// read in flight, and one for the queued banks that are free — the
+// arbiter's candidates — so per-cycle work visits only banks that can
+// actually act. Membership updates are O(1); in-order iteration costs
+// one TrailingZeros64 per member plus one word-load per 64 banks
+// scanned, which is what turns the controller's O(Banks) scans into
+// O(active).
 type bankSet struct {
 	words []uint64
 	n     int // population count, maintained incrementally
@@ -36,6 +37,9 @@ func (s *bankSet) remove(i int) {
 		s.n--
 	}
 }
+
+// has reports whether bank i is a member.
+func (s *bankSet) has(i int) bool { return s.words[i>>6]&(1<<(uint(i)&63)) != 0 }
 
 // len reports the membership count.
 func (s *bankSet) len() int { return s.n }

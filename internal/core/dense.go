@@ -17,6 +17,31 @@ package core
 // BenchmarkTickSparse/BenchmarkTickDense pair quantifies what the
 // event-driven path saves.
 
+// runMemoryDense is advanceMemory's dense reference: every memory
+// cycle up to target offers its bus slot to the banks in turn — bank
+// (m mod B) alone in StrictRoundRobin mode, else every bank rotating
+// from rrPtr until one takes it.
+func (c *Controller) runMemoryDense(target uint64) {
+	nBanks := len(c.banks)
+	for ; c.memTime < target; c.memTime++ {
+		c.stats.MemCycles++
+		m := c.memTime
+		switch {
+		case c.totalQueued == 0:
+		case c.cfg.StrictRoundRobin:
+			c.issueOn(int(m%uint64(nBanks)), m)
+		default:
+			for i := 0; i < nBanks; i++ {
+				b := (c.rrPtr + i) % nBanks
+				if c.issueOn(b, m) {
+					c.rrPtr = (b + 1) % nBanks
+					break
+				}
+			}
+		}
+	}
+}
+
 // tickDense is Tick's dense reference: full-bank scans for flushing,
 // occupancy accounting and the probe's per-cycle sample.
 func (c *Controller) tickDense() []Completion {

@@ -191,6 +191,11 @@ func runEventDiff(t *testing.T, tc diffCase) {
 		compareComps(t, where, ec.Tick(), dc.Tick())
 		syncTrace(where)
 		syncProbes(where, true)
+		for _, c := range []*core.Controller{ec, dc} {
+			if err := core.CheckSchedule(c); err != nil {
+				t.Fatalf("%s: %v", where, err)
+			}
+		}
 	}
 
 	rng := rand.New(rand.NewPCG(tc.seed, 0x6a09e667f3bcc908))

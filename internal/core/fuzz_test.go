@@ -72,9 +72,15 @@ func FuzzControllerOps(f *testing.F) {
 					check(comp)
 				}
 			}
+			if err := core.CheckSchedule(c); err != nil {
+				t.Fatalf("op %d: %v", i/2, err)
+			}
 		}
 		for _, comp := range c.Flush() {
 			check(comp)
+		}
+		if err := core.CheckSchedule(c); err != nil {
+			t.Fatalf("after Flush: %v", err)
 		}
 		if len(expect) != 0 {
 			t.Fatalf("%d reads never completed", len(expect))

@@ -1,6 +1,10 @@
 package dram
 
-import "fmt"
+import (
+	"fmt"
+
+	"repro/internal/addrtab"
+)
 
 // pageWords is the number of words per page — the width of a page's
 // presence bitmap — and pagesPerSlab the number of pages allocated at
@@ -19,9 +23,11 @@ const (
 // the same reason one store can back several modules that own disjoint
 // addresses (the channels of a multichannel memory).
 //
-// Words live in pages of pageWords consecutive addresses: the index maps
-// addr/pageWords to a page slot, numbered in order of first write, and a
-// per-page presence bitmap records which of its words were written.
+// Words live in pages of pageWords consecutive addresses: the index, a
+// flat open-addressing table (16-byte slots at load ≤ ½, so 32–64 B
+// per page), maps addr/pageWords to a page slot, numbered in order of
+// first write, and a per-page presence bitmap records which of its
+// words were written.
 // Pages are carved out of slabs of pagesPerSlab pages; a slab is
 // allocated when its first page is taken and never moved, so a slice
 // returned by Read keeps aliasing the stored word as the store grows.
@@ -29,8 +35,8 @@ const (
 // word costs a whole page.
 type Store struct {
 	wordBytes int
-	index     map[uint64]uint32 // addr/pageWords -> page slot
-	present   []uint64          // present[slot]: bit i set once word i was written
+	index     addrtab.Table // addr/pageWords -> page slot
+	present   []uint64      // present[slot]: bit i set once word i was written
 	slabs     [][]byte
 	populated int
 	zero      []byte
@@ -43,13 +49,12 @@ func NewStore(wordBytes int) *Store {
 	}
 	return &Store{
 		wordBytes: wordBytes,
-		index:     make(map[uint64]uint32),
 		zero:      make([]byte, wordBytes),
 	}
 }
 
 // word returns the storage of word addr within page slot.
-func (s *Store) word(slot uint32, addr uint64) []byte {
+func (s *Store) word(slot int32, addr uint64) []byte {
 	off := (int(slot%pagesPerSlab)*pageWords + int(addr%pageWords)) * s.wordBytes
 	return s.slabs[slot/pagesPerSlab][off : off+s.wordBytes : off+s.wordBytes]
 }
@@ -60,7 +65,7 @@ func (s *Store) WordBytes() int { return s.wordBytes }
 // Read returns the word at addr. The returned slice must not be
 // modified; it is either the stored word or a shared zero word.
 func (s *Store) Read(addr uint64) []byte {
-	if slot, ok := s.index[addr/pageWords]; ok && s.present[slot]>>(addr%pageWords)&1 != 0 {
+	if slot, ok := s.index.Get(addr / pageWords); ok && s.present[slot]>>(addr%pageWords)&1 != 0 {
 		return s.word(slot, addr)
 	}
 	return s.zero
@@ -74,13 +79,13 @@ func (s *Store) Write(addr uint64, data []byte) (fresh bool) {
 	if len(data) > s.wordBytes {
 		panic(fmt.Sprintf("dram: write of %d bytes exceeds word size %d", len(data), s.wordBytes))
 	}
-	slot, ok := s.index[addr/pageWords]
+	slot, ok := s.index.Get(addr / pageWords)
 	if !ok {
-		slot = uint32(len(s.present))
+		slot = int32(len(s.present))
 		if slot%pagesPerSlab == 0 {
 			s.slabs = append(s.slabs, make([]byte, pagesPerSlab*pageWords*s.wordBytes))
 		}
-		s.index[addr/pageWords] = slot
+		s.index.Put(addr/pageWords, slot)
 		s.present = append(s.present, 0)
 	}
 	bit := uint64(1) << (addr % pageWords)

@@ -1206,17 +1206,16 @@ func (e *Engine) deliverLocked(rt route, comp *core.Completion) {
 		IssuedAt:    comp.IssuedAt,
 		DeliveredAt: comp.DeliveredAt,
 		Flags:       flags,
-		Data:        append(e.pool.Get(len(comp.Data)), comp.Data...),
 	}
 	if s.resumable() {
 		s.resolveLocked(rt.seq)
-		// The replay cache owns plain (unpooled) copies: cached verdicts
-		// live until FIFO eviction, far past any pooled buffer's scope.
+		// The replay cache owns plain heap copies: cached verdicts live
+		// until FIFO eviction, far past the staging slab's next reuse.
 		cached := out
 		cached.Data = append([]byte(nil), comp.Data...)
 		s.rememberLocked(rt.seq, doneEntry{comp: cached})
 	}
-	s.stageComp(out)
+	s.stageComp(out, comp.Data)
 	e.noteOut(s)
 }
 
