@@ -55,6 +55,7 @@ fuzz:
 	$(GO) test ./internal/wire -fuzz 'FuzzFrameDecode$$' -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz 'FuzzFrameDecodeShortReads$$' -fuzztime 10s
 	$(GO) test ./internal/wire -fuzz 'FuzzPooledRoundTrip$$' -fuzztime 10s
+	$(GO) test ./internal/addrtab -fuzz 'FuzzAddrTable$$' -fuzztime 10s
 
 # Gated benchmark set. BENCH_parallel.txt is benchstat-compatible raw
 # output; BENCH_parallel.json is the parsed form bench-gate compares
@@ -95,23 +96,33 @@ bench-diff: bench
 profile-ooo:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerLoopbackOOO$$' -benchtime 8000x -count=1 -cpuprofile ooo.pprof .
 
-# CPU profile of the shipped daemon under the wall-clock benchmark's
-# default-flags shape (vpnmload window 512, batch 256, 10% writes): 10 s
-# of load while daemon.pprof is pulled from /debug/pprof/profile. This
-# is the profile that showed the per-cycle probe setting the daemon's
-# clock rate; the next default-flags lever starts from it. The daemon is
-# killed however the run ends. Inspect with `go tool pprof daemon.pprof`.
+# CPU profile of the shipped daemon under load: 10 s of vpnmload while
+# daemon.pprof is pulled from /debug/pprof/profile. The daemon is killed
+# however the run ends. Inspect with `go tool pprof daemon.pprof`.
+# PROFILE_DAEMON_FLAGS and PROFILE_LOAD_FLAGS pick the workload shape;
+# the defaults are the wall-clock benchmark's default-flags shape. The
+# other benchmark shapes (benchmark/README.md) are:
+#
+#   write-heavy:     PROFILE_LOAD_FLAGS='-window 8192 -batch 256 -writefrac 0.5'
+#   saturated-reads: PROFILE_DAEMON_FLAGS='-ooo -coded group=4,k=2'
+#                    PROFILE_LOAD_FLAGS='-window 16384 -batch 256 -writefrac 0 -addrspace 16777216'
+#   hot-set:         PROFILE_DAEMON_FLAGS='-ooo'
+#                    PROFILE_LOAD_FLAGS='-window 8192 -batch 256 -writefrac 0 -addrspace 64'
+#
+# (open-100k is open loop, which vpnmload does not drive.)
 PROFILE_ADDR ?= 127.0.0.1:17450
 PROFILE_STATSZ ?= 127.0.0.1:17451
+PROFILE_DAEMON_FLAGS ?=
+PROFILE_LOAD_FLAGS ?= -window 512 -batch 256 -writefrac 0.1
 profile-daemon:
 	@set -eu; bin=$$(mktemp -d); pid=; \
 	trap 'if [ -n "$$pid" ]; then kill $$pid 2>/dev/null || true; wait $$pid 2>/dev/null || true; fi; rm -rf $$bin' EXIT; \
 	$(GO) build -o $$bin/vpnmd ./cmd/vpnmd; \
 	$(GO) build -o $$bin/vpnmload ./cmd/vpnmload; \
-	$$bin/vpnmd -addr $(PROFILE_ADDR) -statsz $(PROFILE_STATSZ) -q & pid=$$!; \
+	$$bin/vpnmd -addr $(PROFILE_ADDR) -statsz $(PROFILE_STATSZ) -q $(PROFILE_DAEMON_FLAGS) & pid=$$!; \
 	for i in $$(seq 100); do curl -sf http://$(PROFILE_STATSZ)/healthz >/dev/null && break; sleep 0.1; done; \
 	curl -sf -o daemon.pprof "http://$(PROFILE_STATSZ)/debug/pprof/profile?seconds=10" & prof=$$!; \
-	$$bin/vpnmload -addr $(PROFILE_ADDR) -duration 11s -window 512 -batch 256 -writefrac 0.1; \
+	$$bin/vpnmload -addr $(PROFILE_ADDR) -duration 11s $(PROFILE_LOAD_FLAGS); \
 	wait $$prof; echo "wrote daemon.pprof"
 
 # Sample Chrome trace artifact: 512 random reads through a small
