@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: ci vet build test benchmark-test race chaos netchaos fleetchaos fuzz bench bench-gate bench-diff profile-ooo profile-daemon trace-sample lint
+.PHONY: ci vet build test benchmark-test race chaos netchaos fleetchaos fuzz bench bench-gate bench-diff profile-ooo profile-client profile-daemon trace-sample lint
 
 ci: vet build test benchmark-test race chaos netchaos fleetchaos
 
@@ -95,6 +95,14 @@ bench-diff: bench
 # warmup edge out of the profile; inspect with `go tool pprof ooo.pprof`.
 profile-ooo:
 	$(GO) test -run '^$$' -bench 'BenchmarkServerLoopbackOOO$$' -benchtime 8000x -count=1 -cpuprofile ooo.pprof .
+
+# CPU profile of the client alone: BenchmarkClientClosedLoop keeps a
+# full window of reads in flight against an in-process responder with
+# no engine, so client.pprof shows only the client's per-request cost
+# (window, pending table, frame encode/decode, callbacks). Inspect with
+# `go tool pprof client.pprof`.
+profile-client:
+	$(GO) test -run '^$$' -bench 'BenchmarkClientClosedLoop$$' -benchmem -benchtime 10000000x -count=1 -cpuprofile client.pprof ./internal/client
 
 # CPU profile of the shipped daemon under load: 10 s of vpnmload while
 # daemon.pprof is pulled from /debug/pprof/profile. The daemon is killed

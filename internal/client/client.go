@@ -331,9 +331,17 @@ type Client struct {
 	rng        *rand.Rand // jitter; only the (single) reconnect goroutine uses it
 	lenient    bool       // tolerate duplicate/stray verdicts
 
-	slots chan struct{} // window semaphore
-	kick  chan struct{} // background flusher doorbell
-	dead  chan struct{} // closed when the client fails terminally
+	// The window is a count under mu: Read and Write take a slot, each
+	// verdict frees one. An issuer that finds the window full parks on
+	// room; the receive goroutine sends at most one wake per decoded
+	// frame, and a woken issuer passes it on while room remains.
+	window   int
+	inflight int // requests holding a slot
+	parked   int // issuers waiting on room
+	room     chan struct{}
+
+	kick chan struct{} // background flusher doorbell
+	dead chan struct{} // closed when the client fails terminally
 }
 
 // New wraps an established connection (TCP, net.Pipe, ...).
@@ -382,14 +390,15 @@ func New(nc net.Conn, cfg Config) *Client {
 		reqTimeout:  cfg.RequestTimeout,
 		rng:         rand.New(rand.NewSource(cfg.Seed)),
 		lenient:     cfg.Dialer != nil || cfg.SessionID != 0 || cfg.RequestTimeout > 0,
-		slots:       make(chan struct{}, cfg.Window),
+		window:      cfg.Window,
+		room:        make(chan struct{}, 1),
 		kick:        make(chan struct{}, 1),
 		dead:        make(chan struct{}),
 		readerDone:  make(chan struct{}),
 	}
 	c.pool.SetCheck(cfg.PoolCheck)
 	c.pend.init(cfg.Window)
-	// The window semaphore caps in-flight requests at cfg.Window, so the
+	// The window caps in-flight requests at cfg.Window, so the
 	// tracking-node population can never exceed it: preallocate the whole
 	// fleet as one block (and size the pending table to match) so the
 	// request path never allocates a node, no matter how deep the
@@ -498,23 +507,57 @@ func (c *Client) retirePendLocked(p *pending) {
 	c.freePend = append(c.freePend, p)
 }
 
-// acquire takes one window slot.
-func (c *Client) acquire(ctx context.Context) error {
-	select {
-	case c.slots <- struct{}{}:
-		return nil
-	case <-c.dead:
-		return c.deadErr()
-	case <-ctx.Done():
-		return ctx.Err()
+// acquireLocked takes one window slot, parking while the window is
+// full. It returns the terminal error once the client has failed, or
+// ctx's error if ctx ends first. Called with c.mu held; it drops the
+// lock while parked and holds it again on return.
+func (c *Client) acquireLocked(ctx context.Context) error {
+	for {
+		if c.err != nil {
+			return c.err
+		}
+		if c.inflight < c.window {
+			c.inflight++
+			c.wakeIssuerLocked() // pass a wake on while room remains
+			return nil
+		}
+		c.parked++
+		c.mu.Unlock()
+		var err error
+		select {
+		case <-c.room:
+		case <-c.dead:
+		case <-ctx.Done():
+			err = ctx.Err()
+		}
+		c.mu.Lock()
+		c.parked--
+		if err != nil {
+			return err
+		}
 	}
 }
 
+// release frees one window slot. The caller wakes a parked issuer with
+// wakeIssuerLocked once it has freed everything it is going to (one
+// wake per decoded frame, not per slot). Called with c.mu held.
 func (c *Client) release() {
-	select {
-	case <-c.slots:
-	default:
+	if c.inflight == 0 {
 		panic("client: window release without acquire")
+	}
+	c.inflight--
+}
+
+// wakeIssuerLocked wakes one parked issuer if the window has room. The
+// wake channel holds one token, so a wake that finds it full is already
+// covered: the issuer that takes the pending token passes it on.
+// Called with c.mu held.
+func (c *Client) wakeIssuerLocked() {
+	if c.parked > 0 && c.inflight < c.window {
+		select {
+		case c.room <- struct{}{}:
+		default:
+		}
 	}
 }
 
@@ -529,14 +572,9 @@ func (c *Client) deadErr() error {
 // the receive goroutine. Read blocks while the in-flight window is
 // full; ctx bounds the wait.
 func (c *Client) Read(ctx context.Context, addr uint64, cb func(Completion)) error {
-	if err := c.acquire(ctx); err != nil {
-		return err
-	}
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err := c.acquireLocked(ctx); err != nil {
 		c.mu.Unlock()
-		c.release()
 		return err
 	}
 	seq := c.next
@@ -561,14 +599,9 @@ func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
 	if len(data) > wire.MaxData {
 		return fmt.Errorf("client: write of %d bytes exceeds wire.MaxData", len(data))
 	}
-	if err := c.acquire(ctx); err != nil {
-		return err
-	}
 	c.mu.Lock()
-	if c.err != nil {
-		err := c.err
+	if err := c.acquireLocked(ctx); err != nil {
 		c.mu.Unlock()
-		c.release()
 		return err
 	}
 	seq := c.next
@@ -733,10 +766,7 @@ func (c *Client) flushQueue() error {
 		buf := c.wbuf[:0]
 		q := c.sendq
 		for len(q) > 0 {
-			n := wire.FitRequests(q)
-			if n > c.maxBatch {
-				n = c.maxBatch
-			}
+			n := wire.FitRequests(q[:min(len(q), c.maxBatch)])
 			var err error
 			if buf, err = wire.AppendRequests(buf, 0, q[:n]); err != nil {
 				// Can't happen: Read/Write validate every record against
@@ -770,26 +800,36 @@ type invocation struct {
 	comp Completion
 }
 
+// staged is what one decoded frame resolved under c.mu, for the
+// receive goroutine to finish once it has dropped the lock: callbacks
+// first, then the flush barriers the frame released, so a Flush never
+// returns while a callback of the frame that resolved it is pending.
+// The receive goroutine reuses one staged across frames.
+type staged struct {
+	cbs     []invocation
+	flushed []chan struct{}
+	retry   bool // a stall re-enqueued a request
+}
+
 // readLoop decodes server frames and resolves pending requests. One
 // runs per transport; gen ties its errors to that transport so a stale
 // reader cannot kill a healthy successor.
 func (c *Client) readLoop(nc net.Conn, gen uint64, done chan struct{}) {
 	defer close(done)
 	dec := wire.NewDecoder(nc)
-	var cbs []invocation
+	var st staged
 	for {
 		f, err := dec.Next()
 		if err != nil {
 			c.transportErr(gen, err)
 			return
 		}
-		cbs = cbs[:0]
-		retry := false
+		st.cbs, st.flushed, st.retry = st.cbs[:0], st.flushed[:0], false
 		switch f.Type {
 		case wire.FrameReplies:
-			cbs, retry, err = c.handleReplies(f.Replies, cbs)
+			err = c.handleReplies(f.Replies, &st)
 		case wire.FrameCompletions:
-			cbs, err = c.handleCompletions(f.Completions, cbs)
+			err = c.handleCompletions(f.Completions, &st)
 		case wire.FrameStats:
 			err = c.handleStats(f.Stats)
 		default:
@@ -801,10 +841,13 @@ func (c *Client) readLoop(nc net.Conn, gen uint64, done chan struct{}) {
 		}
 		// Callbacks run outside c.mu but before the next frame decode,
 		// while their Data still aliases the decoder buffer.
-		for i := range cbs {
-			cbs[i].cb(cbs[i].comp)
+		for i := range st.cbs {
+			st.cbs[i].cb(st.cbs[i].comp)
 		}
-		if retry {
+		for _, ch := range st.flushed {
+			close(ch)
+		}
+		if st.retry {
 			if c.manual {
 				// Manual mode has no background flusher; resend retries
 				// here so a stalled request cannot linger forever.
@@ -973,6 +1016,7 @@ func (c *Client) expire(now time.Time) {
 		}
 		c.retirePendLocked(p)
 	})
+	c.wakeIssuerLocked()
 	c.mu.Unlock()
 	for i := range cbs {
 		cbs[i].cb(cbs[i].comp)
@@ -1029,25 +1073,27 @@ func (c *Client) strayErr(kind string, seq uint64) error {
 	return fmt.Errorf("client: stray %s for seq %d", kind, seq)
 }
 
-func (c *Client) handleReplies(reps []wire.Reply, cbs []invocation) ([]invocation, bool, error) {
+// handleReplies resolves one reply frame under c.mu, staging its
+// callbacks and released barriers in st, and sends the frame's one
+// issuer wake before it drops the lock.
+func (c *Client) handleReplies(reps []wire.Reply, st *staged) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	retry := false
+	defer c.wakeIssuerLocked()
 	for i := range reps {
 		rp := &reps[i]
 		switch rp.Status {
 		case wire.StatusFlushed:
-			ch, ok := c.flushW[rp.Seq]
-			if ok {
+			if ch, ok := c.flushW[rp.Seq]; ok {
 				delete(c.flushW, rp.Seq)
-				close(ch)
+				st.flushed = append(st.flushed, ch)
 			}
 			continue
 		case wire.StatusAccepted:
 			p, ok := c.pend.get(rp.Seq)
 			if !ok || !p.write {
 				if err := c.strayErr("accept", rp.Seq); err != nil {
-					return cbs, retry, err
+					return err
 				}
 				continue
 			}
@@ -1059,21 +1105,21 @@ func (c *Client) handleReplies(reps []wire.Reply, cbs []invocation) ([]invocatio
 			p, ok := c.pend.get(rp.Seq)
 			if !ok {
 				if err := c.strayErr("stall", rp.Seq); err != nil {
-					return cbs, retry, err
+					return err
 				}
 				continue
 			}
 			c.noteStall(rp.Code)
 			if c.policy == recovery.DropWithAccounting {
 				if inv, ok := c.dropLocked(rp.Seq, p, rp.Code, false); ok {
-					cbs = append(cbs, inv)
+					st.cbs = append(st.cbs, inv)
 				}
 				continue
 			}
 			p.attempts++
 			if p.attempts >= c.maxAttempts {
 				if inv, ok := c.dropLocked(rp.Seq, p, rp.Code, true); ok {
-					cbs = append(cbs, inv)
+					st.cbs = append(st.cbs, inv)
 				}
 				continue
 			}
@@ -1083,34 +1129,37 @@ func (c *Client) handleReplies(reps []wire.Reply, cbs []invocation) ([]invocatio
 				op = wire.OpWrite
 			}
 			c.sendq = append(c.sendq, wire.Request{Op: op, Seq: rp.Seq, Addr: p.addr, Data: p.data})
-			retry = true
+			st.retry = true
 		case wire.StatusDropped:
 			p, ok := c.pend.get(rp.Seq)
 			if !ok {
 				if err := c.strayErr("drop", rp.Seq); err != nil {
-					return cbs, retry, err
+					return err
 				}
 				continue
 			}
 			if inv, ok := c.dropLocked(rp.Seq, p, rp.Code, false); ok {
-				cbs = append(cbs, inv)
+				st.cbs = append(st.cbs, inv)
 			}
 		default:
-			return cbs, retry, fmt.Errorf("client: unknown reply status %d", rp.Status)
+			return fmt.Errorf("client: unknown reply status %d", rp.Status)
 		}
 	}
-	return cbs, retry, nil
+	return nil
 }
 
-func (c *Client) handleCompletions(comps []wire.Completion, cbs []invocation) ([]invocation, error) {
+// handleCompletions resolves one completion frame into st, like
+// handleReplies.
+func (c *Client) handleCompletions(comps []wire.Completion, st *staged) error {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	defer c.wakeIssuerLocked()
 	for i := range comps {
 		w := &comps[i]
 		p, ok := c.pend.get(w.Seq)
 		if !ok || p.write {
 			if err := c.strayErr("completion", w.Seq); err != nil {
-				return cbs, err
+				return err
 			}
 			continue
 		}
@@ -1126,7 +1175,7 @@ func (c *Client) handleCompletions(comps []wire.Completion, cbs []invocation) ([
 		}
 		c.release()
 		if p.cb != nil {
-			cbs = append(cbs, invocation{cb: p.cb, comp: Completion{
+			st.cbs = append(st.cbs, invocation{cb: p.cb, comp: Completion{
 				Addr:        w.Addr,
 				Data:        w.Data,
 				IssuedAt:    w.IssuedAt,
@@ -1136,7 +1185,7 @@ func (c *Client) handleCompletions(comps []wire.Completion, cbs []invocation) ([
 		}
 		c.retirePendLocked(p)
 	}
-	return cbs, nil
+	return nil
 }
 
 func (c *Client) handleStats(s wire.Stats) error {

@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,6 +16,7 @@ import (
 	"repro/internal/multichannel"
 	"repro/internal/recovery"
 	"repro/internal/server"
+	"repro/internal/wire"
 )
 
 func ctx(t *testing.T) context.Context {
@@ -250,6 +253,260 @@ func TestWindowBackpressure(t *testing.T) {
 	defer cancel()
 	if err := c.Read(short, 2, nil); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("blocked Read returned %v, want DeadlineExceeded", err)
+	}
+}
+
+// waitParked waits until n issuers are parked on c's full window.
+func waitParked(t *testing.T, c *client.Client, n int) {
+	t.Helper()
+	for end := time.Now().Add(10 * time.Second); c.Parked() != n; {
+		if time.Now().After(end) {
+			t.Fatalf("%d issuers parked, want %d", c.Parked(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// answerReads serves the far end of a pipe: every request frame is
+// answered with one completion frame covering its reads.
+func answerReads(sn net.Conn) {
+	dec := wire.NewDecoder(sn)
+	word := make([]byte, 8)
+	var comps []wire.Completion
+	var buf []byte
+	for cycle := uint64(0); ; cycle++ {
+		f, err := dec.Next()
+		if err != nil {
+			return
+		}
+		comps = comps[:0]
+		for _, r := range f.Requests {
+			if r.Op == wire.OpRead {
+				comps = append(comps, wire.Completion{Seq: r.Seq, Addr: r.Addr, IssuedAt: cycle, DeliveredAt: cycle + 1, Data: word})
+			}
+		}
+		if len(comps) == 0 {
+			continue
+		}
+		buf, _ = wire.AppendCompletions(buf[:0], cycle, comps)
+		if _, err := sn.Write(buf); err != nil {
+			return
+		}
+	}
+}
+
+// TestWindowParkedIssuerWokenByFailure: an issuer parked on a full
+// window returns the terminal error when the client closes or its
+// connection dies, instead of waiting for a slot that never frees.
+func TestWindowParkedIssuerWokenByFailure(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		kill func(c *client.Client, sn net.Conn)
+	}{
+		{"close", func(c *client.Client, _ net.Conn) { c.Close() }},
+		{"dead-conn", func(_ *client.Client, sn net.Conn) { sn.Close() }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cn, sn := net.Pipe()
+			defer sn.Close()
+			c := client.New(cn, client.Config{Window: 1, ManualBatch: true})
+			defer c.Close()
+
+			if err := c.Read(context.Background(), 1, nil); err != nil {
+				t.Fatal(err)
+			}
+			got := make(chan error, 1)
+			go func() { got <- c.Read(context.Background(), 2, nil) }()
+			waitParked(t, c, 1)
+			tc.kill(c, sn)
+			var err error
+			select {
+			case err = <-got:
+			case <-time.After(10 * time.Second):
+				t.Fatal("parked Read never woke")
+			}
+			terminal := c.Read(context.Background(), 3, nil)
+			if err == nil || terminal == nil || !errors.Is(err, terminal) {
+				t.Fatalf("parked Read returned %v, want the terminal error %v", err, terminal)
+			}
+			if tc.name == "close" && !errors.Is(err, client.ErrClosed) {
+				t.Fatalf("parked Read returned %v, want ErrClosed", err)
+			}
+		})
+	}
+}
+
+// TestWindowParkedCancelLeaksNoSlot: a Read whose ctx expires while it
+// is parked takes no slot with it. Once the reads that filled the
+// window resolve, Window-many further reads go through without
+// parking.
+func TestWindowParkedCancelLeaksNoSlot(t *testing.T) {
+	for _, window := range []int{1, 3} {
+		t.Run(fmt.Sprint("window", window), func(t *testing.T) { parkedCancelLeaksNoSlot(t, window) })
+	}
+}
+
+func parkedCancelLeaksNoSlot(t *testing.T, window int) {
+	cn, sn := net.Pipe()
+	defer sn.Close()
+	go answerReads(sn)
+	c := client.New(cn, client.Config{Window: window, ManualBatch: true})
+	defer c.Close()
+
+	resolved := make(chan struct{}, window)
+	for i := 0; i < window; i++ {
+		if err := c.Read(context.Background(), uint64(i), func(client.Completion) { resolved <- struct{}{} }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	short, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+	if err := c.Read(short, 99, nil); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("parked Read returned %v, want DeadlineExceeded", err)
+	}
+	cancel()
+	if n := c.Parked(); n != 0 {
+		t.Fatalf("%d issuers still parked after the ctx expired", n)
+	}
+	if err := c.Kick(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		select {
+		case <-resolved:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("read %d never resolved", i)
+		}
+	}
+	for i := 0; i < window; i++ {
+		short, cancel := context.WithTimeout(context.Background(), time.Second)
+		err := c.Read(short, uint64(100+i), nil)
+		cancel()
+		if err != nil {
+			t.Fatalf("read %d after the window drained: %v (a slot leaked)", i, err)
+		}
+	}
+}
+
+// TestWindowNoLostWakeup: many issuers share a two-slot window against
+// a real engine. Every read must resolve; a wake lost between a
+// verdict and a parked issuer hangs the run.
+func TestWindowNoLostWakeup(t *testing.T) {
+	c, eng, _ := pipeClient(t, server.Config{}, smallCfg(), 4, client.Config{Window: 2})
+	tctx := ctx(t)
+	const issuers, reads = 8, 250
+	var done atomic.Int64
+	var wg sync.WaitGroup
+	errs := make(chan error, issuers)
+	for g := 0; g < issuers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < reads; i++ {
+				err := c.Read(tctx, uint64(g*reads+i), func(cm client.Completion) {
+					if cm.Err == nil {
+						done.Add(1)
+					}
+				})
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := c.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if got := done.Load(); got != issuers*reads {
+		t.Fatalf("%d reads completed, want %d", got, issuers*reads)
+	}
+	if ctr := c.Counters(); ctr.Completions != issuers*reads {
+		t.Fatalf("counters = %+v, want %d completions", ctr, issuers*reads)
+	}
+	if s := eng.Snapshot(); s.Outstanding != 0 {
+		t.Fatalf("engine still has %d outstanding", s.Outstanding)
+	}
+}
+
+// TestWindowWakePassesOn: one frame that frees the whole window sends
+// one wake, and the issuers parked on it must all get through — each
+// woken issuer that still sees room passes the wake on. No further
+// frame arrives to wake a straggler: ManualBatch holds the new reads.
+func TestWindowWakePassesOn(t *testing.T) {
+	const window = 4
+	cn, sn := net.Pipe()
+	defer sn.Close()
+	go answerReads(sn)
+	c := client.New(cn, client.Config{Window: window, ManualBatch: true})
+	defer c.Close()
+	tctx := ctx(t)
+
+	for i := 0; i < window; i++ {
+		if err := c.Read(tctx, uint64(i), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make(chan error, window)
+	for i := 0; i < window; i++ {
+		go func(i int) { got <- c.Read(tctx, uint64(window+i), nil) }(i)
+	}
+	waitParked(t, c, window)
+	if err := c.Kick(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < window; i++ {
+		select {
+		case err := <-got:
+			if err != nil {
+				t.Fatal(err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("%d of %d parked issuers still waiting on a free window", window-i, window)
+		}
+	}
+}
+
+// TestFlushWaitsForFrameCallbacks: when one reply frame drops a read
+// and releases a barrier behind it, Flush returns only after the
+// dropped read's callback has run.
+func TestFlushWaitsForFrameCallbacks(t *testing.T) {
+	cn, sn := net.Pipe()
+	defer sn.Close()
+	c := client.New(cn, client.Config{ManualBatch: true})
+	defer c.Close()
+	go func() {
+		dec := wire.NewDecoder(sn)
+		for seen := 0; seen < 2; { // the read (seq 0) and the barrier (seq 1)
+			f, err := dec.Next()
+			if err != nil {
+				return
+			}
+			seen += len(f.Requests)
+		}
+		b, _ := wire.AppendReplies(nil, 0, []wire.Reply{
+			{Status: wire.StatusDropped, Code: wire.CodeBankQueue, Seq: 0},
+			{Status: wire.StatusFlushed, Seq: 1},
+		})
+		sn.Write(b) //nolint:errcheck // a failed write fails the Flush below
+	}()
+	var called atomic.Bool
+	err := c.Read(ctx(t), 7, func(cm client.Completion) {
+		time.Sleep(100 * time.Millisecond)
+		called.Store(cm.Err != nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(ctx(t)); err != nil {
+		t.Fatal(err)
+	}
+	if !called.Load() {
+		t.Fatal("Flush returned before the dropped read's callback finished")
 	}
 }
 

@@ -235,7 +235,7 @@ const writerChunk = 256
 func (c *conn) buildFrames(bufs [][]byte, cycle uint64, reps []wire.Reply, comps []wire.Completion, stats []wire.Stats) [][]byte {
 	var err error
 	for len(comps) > 0 {
-		n := min(wire.FitCompletions(comps), writerChunk)
+		n := wire.FitCompletions(comps[:min(len(comps), writerChunk)])
 		b := c.e.pool.Get(wire.SizeCompletions(comps[:n]))
 		if b, err = wire.AppendCompletions(b, cycle, comps[:n]); err != nil {
 			panic(fmt.Sprintf("server: staged completions unencodable: %v", err))
