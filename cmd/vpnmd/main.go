@@ -111,7 +111,6 @@ func main() {
 		ooo      = flag.Bool("ooo", false, "out-of-order cross-channel issue: park blocked heads per channel and issue the oldest issuable request on every channel each cycle")
 		oooDepth = flag.Int("ooo-depth", 0, "per-channel pending ring depth for -ooo (0: default)")
 		quiet    = flag.Bool("q", false, "suppress connection lifecycle logging")
-		poolchk  = flag.Bool("poolcheck", false, "arm the frame-buffer pool's leak/double-put detector; hygiene is reported after drain")
 
 		qosDefault = flag.String("qos-default", "", "default tenant token bucket as rate[:burst] in req/cycle (empty: unlimited)")
 		wtimeout   = flag.Duration("write-timeout", 10*time.Second, "per-frame write deadline to a client; a peer that stops reading is detached (0 disables)")
@@ -206,7 +205,6 @@ func main() {
 		Metrics:      reg,
 		WriteTimeout: *wtimeout,
 		Logf:         logf,
-		PoolCheck:    *poolchk,
 	})
 	if err != nil {
 		fatal(err)
@@ -289,14 +287,6 @@ func main() {
 		} else {
 			fmt.Printf("vpnmd: drained clean: %d completions, 0 outstanding, %d refused during drain\n",
 				snap.Completions, snap.DrainRefused)
-		}
-		if *poolchk {
-			if err := eng.PoolClean(); err != nil {
-				fmt.Fprintln(os.Stderr, "vpnmd: pool:", err)
-			} else {
-				ps := eng.PoolStats()
-				fmt.Printf("vpnmd: pool clean: %d gets, %d misses, 0 live\n", ps.Gets, ps.Misses)
-			}
 		}
 		eng.Close()
 	}()

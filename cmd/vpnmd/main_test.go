@@ -28,8 +28,9 @@ var (
 // TestDaemonSmoke builds the daemon and starts it the way the benchmark
 // does: checks both banner lines, serves one write and read over TCP,
 // and expects SIGINT to drain it clean with exit code 0. It also checks
-// that -tick, which went with the paced clock, is rejected with the
-// flag package's usage exit code.
+// that removed flags are rejected with the flag package's usage exit
+// code: -tick went with the paced clock, -poolcheck with the
+// frame-buffer pool.
 func TestDaemonSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds and runs the daemon binary")
@@ -38,9 +39,16 @@ func TestDaemonSmoke(t *testing.T) {
 	if out, err := exec.Command("go", "build", "-o", bin, ".").CombinedOutput(); err != nil {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
-	var ee *exec.ExitError
-	if err := exec.Command(bin, "-tick", "1ms").Run(); !errors.As(err, &ee) || ee.ExitCode() != 2 {
-		t.Fatalf("vpnmd -tick 1ms: %v, want exit code 2", err)
+	for _, removed := range [][]string{{"-tick", "1ms"}, {"-poolcheck"}} {
+		// A daemon that accepts the flag serves until the timeout kills it.
+		fctx, fcancel := context.WithTimeout(context.Background(), 10*time.Second)
+		args := append(removed, "-addr", "127.0.0.1:0", "-statsz", "127.0.0.1:0", "-q")
+		err := exec.CommandContext(fctx, bin, args...).Run()
+		fcancel()
+		var ee *exec.ExitError
+		if !errors.As(err, &ee) || ee.ExitCode() != 2 {
+			t.Fatalf("vpnmd %s: %v, want exit code 2", strings.Join(removed, " "), err)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)

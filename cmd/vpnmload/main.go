@@ -102,7 +102,6 @@ func main() {
 		session    = flag.Uint64("session", 0, "nonzero session id: reconnect with backoff on transport failure and resume the in-flight window")
 		reqTimeout = flag.Duration("reqtimeout", 0, "per-request deadline; expiries resolve locally as ErrDeadlineExceeded (0 disables)")
 		jsonOut    = flag.Bool("json", false, "emit the final run summary as one JSON object on stdout (human output moves to stderr)")
-		poolchk    = flag.Bool("poolcheck", false, "arm the client frame-buffer pool's leak/double-put detector; the run exits nonzero if the pool is dirty after the final flush")
 	)
 	flag.Parse()
 
@@ -124,7 +123,6 @@ func main() {
 		Tenant:         *tenant,
 		SessionID:      *session,
 		RequestTimeout: *reqTimeout,
-		PoolCheck:      *poolchk,
 	}
 	// target is what the issue loop talks to: one client, or the fleet
 	// router (which satisfies the same Read/Write/Flush shape).
@@ -139,9 +137,6 @@ func main() {
 		tgt    target
 	)
 	if *shardsList != "" {
-		if *poolchk {
-			fatal(fmt.Errorf("-poolcheck is not supported with -shards"))
-		}
 		specs, err := parseShards(*shardsList)
 		if err != nil {
 			fatal(err)
@@ -389,13 +384,6 @@ func main() {
 	}
 	fmt.Fprintf(human, "vpnmload: completions=%d uncorrectable=%d retries=%d drops=%d deadline-expiries=%d reconnects=%d fixed-D violations=%d\n",
 		ctr.Completions, flagged, ctr.Retries, dropped, ctr.DeadlineExceeded, ctr.Reconnects, ctr.LatencyViolations)
-	if *poolchk {
-		if err := c.PoolClean(); err != nil {
-			fatalPartial(fmt.Errorf("pool: %w", err))
-		}
-		ps := c.PoolStats()
-		fmt.Fprintf(human, "vpnmload: pool clean: %d gets, %d misses, 0 live\n", ps.Gets, ps.Misses)
-	}
 
 	if *jsonOut {
 		enc := json.NewEncoder(os.Stdout)

@@ -143,10 +143,6 @@ type Config struct {
 	// window slot; a verdict that arrives later is ignored. Zero
 	// disables deadlines.
 	RequestTimeout time.Duration
-	// PoolCheck arms the client buffer pool's leak/double-put detector
-	// (write payload copies). The chaos harness asserts PoolClean after
-	// a drained run; leave off outside tests.
-	PoolCheck bool
 }
 
 // pending is one in-flight request. Instances are recycled through a
@@ -155,7 +151,7 @@ type Config struct {
 type pending struct {
 	write    bool
 	addr     uint64
-	data     []byte // writes: stable pooled copy, owned until the verdict
+	data     []byte // writes: a copy of the payload, in a buffer the node owns for life
 	cb       func(Completion)
 	attempts int
 	deadline time.Time // zero when RequestTimeout is unset
@@ -311,11 +307,6 @@ type Client struct {
 	closed       bool
 	readerDone   chan struct{} // current transport's reader; swapped per conn
 
-	// pool recycles write payload copies: Write moves the caller's data
-	// into a pooled buffer that survives retries and retransmits, and
-	// the terminal verdict returns it.
-	pool wire.Pool
-
 	policy      recovery.Policy
 	maxAttempts int
 	maxBatch    int
@@ -396,7 +387,6 @@ func New(nc net.Conn, cfg Config) *Client {
 		dead:        make(chan struct{}),
 		readerDone:  make(chan struct{}),
 	}
-	c.pool.SetCheck(cfg.PoolCheck)
 	c.pend.init(cfg.Window)
 	// The window caps in-flight requests at cfg.Window, so the
 	// tracking-node population can never exceed it: preallocate the whole
@@ -466,13 +456,10 @@ func (c *Client) Delay() uint64 {
 	return c.delay
 }
 
-// PoolStats snapshots the client's buffer pool ledger.
-func (c *Client) PoolStats() wire.PoolStats { return c.pool.Stats() }
-
-// PoolClean reports buffer-pool hygiene: nil when no pooled buffer is
-// outstanding and no double put was recorded. Meaningful only under
-// Config.PoolCheck, after the pipeline has drained.
-func (c *Client) PoolClean() error { return c.pool.CheckClean() }
+// PoolStats returns the always-zero ledger of the retired frame-buffer
+// pool. It stays only because the wall-clock benchmark
+// (benchmark/run.go) still reads it.
+func (c *Client) PoolStats() wire.PoolStats { return wire.PoolStats{} }
 
 // sendHello writes the session-binding Hello frame. Called with wmu
 // held, before any request frame reaches the same transport.
@@ -497,13 +484,12 @@ func (c *Client) getPendLocked() *pending {
 	return new(pending)
 }
 
-// retirePendLocked recycles a resolved request's resources: the pooled
-// write payload goes back to the pool, the node to the freelist. The
-// caller must already have staged any callback it needs — the node's
-// fields are dead after this. Called with c.mu held.
+// retirePendLocked returns a resolved request's node to the freelist,
+// keeping its payload buffer's capacity for the next write. The caller
+// must already have staged any callback it needs — the node's fields
+// are dead after this. Called with c.mu held.
 func (c *Client) retirePendLocked(p *pending) {
-	c.pool.Put(p.data)
-	*p = pending{}
+	*p = pending{data: p.data[:0]}
 	c.freePend = append(c.freePend, p)
 }
 
@@ -607,13 +593,11 @@ func (c *Client) Write(ctx context.Context, addr uint64, data []byte) error {
 	seq := c.next
 	c.next++
 	// The payload must survive until the verdict (retries and reconnect
-	// retransmits re-send it), so move it into a pooled buffer the
-	// verdict path releases.
-	stable := append(c.pool.Get(len(data)), data...)
+	// retransmits re-send it), so copy it into the node's own buffer.
 	p := c.getPendLocked()
-	p.write, p.addr, p.data, p.deadline = true, addr, stable, c.deadlineFrom()
+	p.write, p.addr, p.data, p.deadline = true, addr, append(p.data[:0], data...), c.deadlineFrom()
 	c.pend.put(seq, p)
-	c.sendq = append(c.sendq, wire.Request{Op: wire.OpWrite, Seq: seq, Addr: addr, Data: stable})
+	c.sendq = append(c.sendq, wire.Request{Op: wire.OpWrite, Seq: seq, Addr: addr, Data: p.data})
 	c.ctr.Issued++
 	c.ctr.Writes++
 	c.mu.Unlock()
@@ -732,7 +716,7 @@ func (c *Client) flushLoop() {
 	}
 }
 
-// flushQueue drains the whole send queue in one vectored shot: every
+// flushQueue drains the whole send queue in one shot: every
 // queued request is encoded — in frames of at most MaxBatch — into the
 // reused write buffer, and the lot goes to the kernel as ONE write, so
 // the syscall cost per flush is constant no matter how many frames the
@@ -740,11 +724,11 @@ func (c *Client) flushLoop() {
 // flushers serialize. Lock order is wmu before mu; nothing acquires
 // them the other way around.
 //
-// Encoding happens under c.mu: every path that releases a write
-// payload back to the pool (accept, drop, expiry, failure) also holds
-// c.mu, so no payload can be recycled — and its buffer handed to a new
-// Write — while the encoder is still copying it. The write syscall
-// itself runs outside c.mu, under wmu alone.
+// Encoding happens under c.mu: every path that retires a tracking node
+// (accept, drop, expiry, failure) also holds c.mu, so no node's payload
+// buffer can be refilled by a new Write while the encoder is still
+// copying it. The write syscall itself runs outside c.mu, under wmu
+// alone.
 //
 // During a reconnect it returns immediately: every queued request is
 // also tracked in pend/flushW/statsW, and the reconnect rebuilds the

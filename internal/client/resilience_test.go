@@ -336,3 +336,128 @@ func TestDupVerdictTolerance(t *testing.T) {
 		t.Fatalf("calls=%d counters=%+v, want every duplicate verdict ignored", calls, ctr)
 	}
 }
+
+// TestTrackingNodesReturnAfterChaos is the client's holder ledger. A
+// run with stall retries, a transport kill with reconnect and
+// retransmit, and deadline expiries during the outage must leave every
+// tracking node back on the freelist exactly once, no two nodes sharing
+// a payload buffer, and no window slot held. Every word that reached
+// the server reads back byte for byte.
+func TestTrackingNodesReturnAfterChaos(t *testing.T) {
+	const window = 32
+	mem, err := multichannel.New(core.Config{Banks: 2, QueueDepth: 2, DelayRows: 64, WordBytes: 8}, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, err := server.New(server.Config{Mem: mem, Policy: recovery.DropWithAccounting})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer eng.Close()
+
+	var mu sync.Mutex
+	var cur net.Conn
+	allow := make(chan struct{}, 4) // each token admits one dial
+	dial := func() (net.Conn, error) {
+		<-allow
+		cn, sn := net.Pipe()
+		if err := eng.ServeConn(sn); err != nil {
+			return nil, err
+		}
+		mu.Lock()
+		cur = cn
+		mu.Unlock()
+		return cn, nil
+	}
+	allow <- struct{}{}
+	nc, err := dial()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := client.New(nc, client.Config{
+		SessionID:      11,
+		Dialer:         dial,
+		Window:         window,
+		MaxAttempts:    1 << 20,
+		RequestTimeout: 500 * time.Millisecond,
+		BackoffBase:    time.Millisecond,
+		BackoffMax:     8 * time.Millisecond,
+	})
+	defer c.Close()
+	tctx := ctx(t)
+	word := func(a uint64) []byte { return []byte{byte(a), byte(a >> 8), 0xa5, 3, 4, 5, 6, 7} }
+
+	// Writes under stall retries.
+	const n = 256
+	for a := uint64(0); a < n; a++ {
+		if err := c.Write(tctx, a, word(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	if ctr := c.Counters(); ctr.Retries == 0 || ctr.DeadlineExceeded != 0 {
+		t.Fatalf("counters=%+v, want stall retries and no expiry before the outage", ctr)
+	}
+
+	// Kill the transport with the redial held: a full window of writes
+	// issued now never leaves the client and expires.
+	mu.Lock()
+	cur.Close()
+	mu.Unlock()
+	for a := uint64(n); a < n+window; a++ {
+		if err := c.Write(tctx, a, []byte{0xee}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	awaitCtr(t, c, "a window of expiries", func(ctr client.Counters) bool { return ctr.DeadlineExceeded == window })
+
+	// Reads and rewrites queued during the outage ride the retransmit.
+	var cmu sync.Mutex
+	bad := 0
+	check := func(a uint64) func(client.Completion) {
+		return func(cm client.Completion) {
+			cmu.Lock()
+			defer cmu.Unlock()
+			if cm.Err != nil || !bytes.Equal(cm.Data, word(a)) {
+				bad++
+			}
+		}
+	}
+	for a := uint64(0); a < window/2; a++ {
+		if err := c.Read(tctx, a, check(a)); err != nil {
+			t.Fatal(err)
+		}
+		if err := c.Write(tctx, n+a, word(n+a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allow <- struct{}{} // let the reconnect through
+	if err := c.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+	for a := uint64(0); a < n+window/2; a++ {
+		if err := c.Read(tctx, a, check(a)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.Flush(tctx); err != nil {
+		t.Fatal(err)
+	}
+
+	ctr := c.Counters()
+	if ctr.Reconnects != 1 || ctr.Retransmits == 0 || ctr.Drops != 0 {
+		t.Fatalf("counters=%+v, want one reconnect with retransmits and no drops", ctr)
+	}
+	cmu.Lock()
+	defer cmu.Unlock()
+	if bad != 0 || ctr.Completions != n+window {
+		t.Fatalf("%d of %d reads returned a wrong word or an error", bad, ctr.Completions)
+	}
+	free, distinct, shared, inflight := c.NodeLedger()
+	if free != window || distinct != window || shared != 0 || inflight != 0 {
+		t.Fatalf("tracking nodes: %d free (%d distinct) of %d, %d sharing a payload array, %d window slots held",
+			free, distinct, window, shared, inflight)
+	}
+}

@@ -134,6 +134,9 @@ func (m *Memory) Coded() coded.Geometry { return m.chans[0].Config().Coded }
 // The serving engine sizes its per-step issue budget from this.
 func (m *Memory) Ports() int { return len(m.chans) * m.chans[0].Config().Coded.ReadPorts() }
 
+// WordBytes reports the channels' shared data word width W in bytes.
+func (m *Memory) WordBytes() int { return m.chans[0].Config().WordBytes }
+
 // Channel reports which channel serves addr.
 func (m *Memory) Channel(addr uint64) int { return int(m.sel.Hash(addr) & m.mask) }
 

@@ -259,21 +259,6 @@ func (st *Stage) pop(ch int, q *stageRing) {
 	}
 }
 
-// Drain empties every channel queue without issuing, handing each
-// pending request to f (engine teardown uses it to return pooled write
-// payloads). The admission stamp sequence is NOT reset.
-func (st *Stage) Drain(f func(*Pending)) {
-	for ch := range st.q {
-		q := &st.q[ch]
-		for q.n > 0 {
-			if f != nil {
-				f(&q.buf[q.head])
-			}
-			st.pop(ch, q)
-		}
-	}
-}
-
 // Stats snapshots the stage ledger.
 func (st *Stage) Stats() StageStats {
 	return StageStats{Admitted: st.admitted, Issued: st.issued, Bypasses: st.bypasses, Pending: st.total}

@@ -43,11 +43,10 @@ func (c *conn) fail(err error) {
 // whole frames to the engine's admission queue.
 //
 // The copy out of the decoder's buffer is allocation-free in steady
-// state: request records land in a reused batch slice (a per-session
-// freelist in lockstep mode, where batches are handed off to the
-// engine; a loop-local slice otherwise) and write payloads in pooled
-// buffers whose ownership travels with the queued request until its
-// terminal verdict releases them.
+// state: request records land in a reused batch slice (one of the
+// session's hand-off slices in lockstep mode, where batches go to the
+// engine; a loop-local slice otherwise), and each write payload is
+// copied into the payload buffer its batch entry owns (see appendReq).
 func (c *conn) readLoop() {
 	dec := wire.NewDecoder(c.nc)
 	var local []pendingReq // reused batch for the non-handoff path
@@ -81,7 +80,12 @@ func (c *conn) readLoop() {
 		}
 		batch := local[:0]
 		if c.e.cfg.Lockstep {
-			batch = c.s.getBatch()
+			select {
+			case batch = <-c.s.batches:
+			case <-c.e.done:
+				c.fail(fmt.Errorf("server: engine closed"))
+				return
+			}
 		}
 		if c.e.draining.Load() {
 			// Graceful degradation: refuse new work outright — before its
@@ -97,7 +101,7 @@ func (c *conn) readLoop() {
 					refused++
 					continue
 				}
-				batch = append(batch, pendingReq{op: r.Op, seq: r.Seq, addr: r.Addr})
+				batch = appendReq(batch, pendingReq{op: r.Op, seq: r.Seq, addr: r.Addr})
 			}
 			c.s.mu.Unlock()
 			if refused > 0 {
@@ -106,18 +110,12 @@ func (c *conn) readLoop() {
 		} else {
 			for i := range f.Requests {
 				r := &f.Requests[i]
-				pr := pendingReq{op: r.Op, seq: r.Seq, addr: r.Addr}
-				if len(r.Data) > 0 {
-					// The queue outlives the frame: move the payload into a
-					// pooled buffer the verdict path will release.
-					pr.data = append(c.e.pool.Get(len(r.Data)), r.Data...)
-				}
-				batch = append(batch, pr)
+				batch = appendReq(batch, pendingReq{op: r.Op, seq: r.Seq, addr: r.Addr, data: r.Data})
 			}
 		}
 		if len(batch) == 0 {
 			if c.e.cfg.Lockstep {
-				c.s.putBatch(batch)
+				c.s.batches <- batch
 			}
 			continue
 		}
@@ -125,14 +123,12 @@ func (c *conn) readLoop() {
 			select {
 			case c.e.frames <- inFrame{s: c.s, reqs: batch}:
 			case <-c.e.done:
-				c.s.releaseBatch(batch)
 				c.fail(fmt.Errorf("server: engine closed"))
 				return
 			}
 			continue
 		}
 		if !c.s.ingest(c, batch) {
-			c.s.releaseBatch(batch)
 			c.fail(fmt.Errorf("server: session closed"))
 			return
 		}
@@ -143,15 +139,14 @@ func (c *conn) readLoop() {
 // writeLoop drains the session's output buffers into frames. Everything
 // staged since the last wake — under load, a whole clock step's worth
 // of verdicts, because the engine signals each touched session once per
-// step — is encoded into pooled frame buffers and handed to the kernel
-// as ONE vectored write (net.Buffers → writev on TCP), so the syscall
-// cost per step per connection is constant no matter how many replies,
-// completions and stats snapshots the step produced. Within each record
-// kind the order is staging order, and writev preserves byte order, so
-// completions reach the client in fixed-D delivery order. Across kinds
-// the batch is completions, then replies, then stats (see buildFrames):
-// a flush barrier's reply therefore never overtakes the completions it
-// waited for.
+// step — is encoded into the writer's own slab and handed to the kernel
+// as ONE write, so the syscall cost per step per connection is constant
+// no matter how many replies, completions and stats snapshots the step
+// produced. Within each record kind the order is staging order, and
+// one write preserves byte order, so completions reach the client in
+// fixed-D delivery order. Across kinds the batch is completions, then
+// replies, then stats (see appendFrames): a flush barrier's reply
+// therefore never overtakes the completions it waited for.
 //
 // On a write error the swapped-out records are pushed back to the FRONT
 // of the session buffers before detaching: a resolution is never lost
@@ -161,12 +156,13 @@ func (c *conn) readLoop() {
 func (c *conn) writeLoop() {
 	s := c.s
 	var reps []wire.Reply
-	var comps []wire.Completion
-	var data []byte // the slab behind comps' payloads
+	// comps and data trade places with the session's staging slice and
+	// word slab at every pickup; buf holds all the frames of a pickup.
+	comps := make([]wire.Completion, 0, c.e.pickup)
+	data := make([]byte, 0, c.e.pickup*c.e.word)
 	var stats []wire.Stats
-	var bufs [][]byte    // pooled frame buffers, owned until Put
-	var iovBack [][]byte // reusable backing for the net.Buffers scratch
-	var iov net.Buffers  // escapes via writeBatch; hoisted so it heap-allocates once
+	frames := (c.e.pickup + writerChunk - 1) / writerChunk
+	buf := make([]byte, 0, frames*wire.SizeWordCompletions(writerChunk, c.e.word))
 	for {
 		s.mu.Lock()
 		for s.cur == c && !s.closed && len(s.outReplies) == 0 && len(s.outComps) == 0 && len(s.outStats) == 0 {
@@ -183,19 +179,8 @@ func (c *conn) writeLoop() {
 		cycle := c.e.cycle.Load()
 		s.mu.Unlock()
 
-		bufs = c.buildFrames(bufs[:0], cycle, reps, comps, stats)
-		// WriteTo consumes the net.Buffers header it is handed, so give
-		// it a view over a persistent backing slice: iovBack keeps its
-		// capacity across batches while bufs retains the frames for the
-		// Put-back below.
-		iovBack = append(iovBack[:0], bufs...)
-		iov = net.Buffers(iovBack)
-		err := c.writeBatch(&iov)
-		for i := range bufs {
-			c.e.pool.Put(bufs[i])
-			bufs[i] = nil
-		}
-		if err != nil {
+		buf = appendFrames(buf[:0], cycle, reps, comps, stats)
+		if err := c.write(buf); err != nil {
 			// The pushed-back completions keep pointing into data, which
 			// this writer, about to exit, never hands back for reuse.
 			s.mu.Lock()
@@ -210,74 +195,58 @@ func (c *conn) writeLoop() {
 	}
 }
 
-// buildFrames encodes one drained batch into pooled buffers, one frame
-// writerChunk caps the records encoded into a single egress frame.
-// Deliberately far below wire.MaxBatch: the coalesced staging depth
-// varies with scheduling, and letting it pick the frame size would
-// spread buffer demand across many pool size classes, each missing
-// (allocating) on first touch. A fixed small chunk keeps every frame
-// buffer in one class that is warm after the first batch. The number of
-// frames per flush grows instead, but they all leave in the same
-// vectored write, so the syscall count per clock step is unchanged.
+// writerChunk caps the records encoded into a single egress frame. It
+// fixes the frame boundaries: how many records a frame carries does not
+// depend on how much output a pickup found staged, so the client's
+// schedule of one issuer wake per decoded frame does not depend on the
+// writer's timing. All the frames of a pickup leave in the same write,
+// so the chunk adds no syscalls.
 const writerChunk = 256
 
-// buildFrames encodes one drained batch into pooled buffers, one frame
-// per buffer: completion then reply frames chunked to writerChunk (and
-// the protocol limits), then one stats frame per snapshot. Completions
-// go first because a StatusFlushed reply is only staged once its
-// session has nothing outstanding, so every completion the barrier
-// covers was staged before it — possibly in this same batch. Encoding
-// replies first would let the barrier overtake them, and the client
-// would see its barrier resolve with reads still pending. Every buffer
-// is sized exactly before encoding, so the appends never reallocate;
-// encoding cannot fail because the engine only stages records it built
-// within the protocol bounds.
-func (c *conn) buildFrames(bufs [][]byte, cycle uint64, reps []wire.Reply, comps []wire.Completion, stats []wire.Stats) [][]byte {
+// appendFrames encodes one drained batch onto buf: completion then
+// reply frames chunked to writerChunk (and the protocol limits), then
+// one stats frame per snapshot. Completions go first because a
+// StatusFlushed reply is only staged once its session has nothing
+// outstanding, so every completion the barrier covers was staged before
+// it — possibly in this same batch. Encoding replies first would let the
+// barrier overtake them, and the client would see its barrier resolve
+// with reads still pending. Encoding cannot fail because the engine only
+// stages records it built within the protocol bounds.
+func appendFrames(buf []byte, cycle uint64, reps []wire.Reply, comps []wire.Completion, stats []wire.Stats) []byte {
 	var err error
 	for len(comps) > 0 {
 		n := wire.FitCompletions(comps[:min(len(comps), writerChunk)])
-		b := c.e.pool.Get(wire.SizeCompletions(comps[:n]))
-		if b, err = wire.AppendCompletions(b, cycle, comps[:n]); err != nil {
+		if buf, err = wire.AppendCompletions(buf, cycle, comps[:n]); err != nil {
 			panic(fmt.Sprintf("server: staged completions unencodable: %v", err))
 		}
-		bufs = append(bufs, b)
 		comps = comps[n:]
 	}
 	for len(reps) > 0 {
 		n := min(len(reps), writerChunk)
-		b := c.e.pool.Get(wire.SizeReplies(n))
-		if b, err = wire.AppendReplies(b, cycle, reps[:n]); err != nil {
+		if buf, err = wire.AppendReplies(buf, cycle, reps[:n]); err != nil {
 			panic(fmt.Sprintf("server: staged replies unencodable: %v", err))
 		}
-		bufs = append(bufs, b)
 		reps = reps[n:]
 	}
-	if len(stats) > 0 {
-		b := c.e.pool.Get(len(stats) * wire.SizeStats)
-		for _, st := range stats {
-			if b, err = wire.AppendStats(b, cycle, st); err != nil {
-				panic(fmt.Sprintf("server: staged stats unencodable: %v", err))
-			}
+	for _, st := range stats {
+		if buf, err = wire.AppendStats(buf, cycle, st); err != nil {
+			panic(fmt.Sprintf("server: staged stats unencodable: %v", err))
 		}
-		bufs = append(bufs, b)
 	}
-	return bufs
+	return buf
 }
 
-// writeBatch sends one batch of frames as a single vectored write,
-// arming the per-connection write deadline (Config.WriteTimeout) once
-// for the whole batch so one wedged peer cannot park the writer forever
-// — the deadline fires, the conn detaches, and the session keeps the
-// undelivered output for resume.
-func (c *conn) writeBatch(iov *net.Buffers) error {
-	if len(*iov) == 0 {
-		return nil
-	}
+// write sends one pickup's frames in a single write, arming the
+// per-connection write deadline (Config.WriteTimeout) once for the whole
+// batch so one wedged peer cannot park the writer forever — the deadline
+// fires, the conn detaches, and the session keeps the undelivered output
+// for resume.
+func (c *conn) write(buf []byte) error {
 	if c.e.cfg.WriteTimeout > 0 {
 		if err := c.nc.SetWriteDeadline(time.Now().Add(c.e.cfg.WriteTimeout)); err != nil {
 			return err
 		}
 	}
-	_, err := iov.WriteTo(c.nc)
+	_, err := c.nc.Write(buf)
 	return err
 }

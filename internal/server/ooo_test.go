@@ -15,7 +15,9 @@ package server_test
 // victim path would push it into the 1024 bucket and fail.
 
 import (
+	"context"
 	"testing"
+	"time"
 
 	"repro/internal/qos"
 	"repro/internal/server"
@@ -237,5 +239,29 @@ func TestOOOAdversarialChannelP99(t *testing.T) {
 	s := eng.Snapshot()
 	if s.Completions != nAtk+nVic || s.Dropped != 0 || s.Stalls != 0 || s.OOOPending != 0 {
 		t.Fatalf("engine ledger %+v, want %d clean completions", s, nAtk+nVic)
+	}
+}
+
+// TestOOOSlotsFreeAfterDrain is the Stage's holder ledger: after the
+// aliasing script has parked, held and retried thousands of writes and
+// reads, a drained engine has every slot back on its freelist exactly
+// once, and no two slots share a payload buffer.
+func TestOOOSlotsFreeAfterDrain(t *testing.T) {
+	cfg := aliasConfig(t)
+	cfg.OOO = true
+	eng, err := server.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	runAliasScript(t, eng)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := eng.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	eng.Close()
+	free, distinct, total, shared := eng.OOOSlotLedger()
+	if free != total || distinct != total || shared != 0 {
+		t.Fatalf("stage slots after drain: %d free (%d distinct) of %d, %d sharing a payload array", free, distinct, total, shared)
 	}
 }

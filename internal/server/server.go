@@ -144,13 +144,6 @@ type Config struct {
 	// window so they never block waiting for a completion that only a
 	// future frame's ticks (or an OpFlush) would deliver.
 	Lockstep bool
-	// PoolCheck arms the buffer pool's leak/double-put detector: every
-	// pooled buffer (request payloads, completion payloads, outgoing
-	// frames) is tracked by identity, and PoolClean reports whether the
-	// pool drained back to empty. The chaos harness asserts this after
-	// every run; it costs a map operation per pooled Get/Put, so leave
-	// it off outside tests.
-	PoolCheck bool
 	// Logf, when non-nil, receives connection lifecycle diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -215,15 +208,22 @@ type route struct {
 
 // oooSlot is the engine-side state of one request parked in the
 // out-of-order stage: which session owns it, its wire seq, its enqueue
-// cycle (for tenant latency), and the hold-and-retry attempt count.
-// The stage's Pending.Cookie is the slot index; slots are preallocated
-// for the stage's full capacity and recycled through a freelist.
+// cycle (for tenant latency), the hold-and-retry attempt count, and
+// the write payload, copied into a buffer the slot owns for life. The
+// stage's Pending.Cookie is the slot index and its Pending.Data points
+// at the slot's payload; slots are preallocated for the stage's full
+// capacity and recycled through a freelist.
 type oooSlot struct {
 	s        *session
 	seq      uint64
 	enq      uint64
 	attempts int
+	data     []byte
 }
+
+// admitQueue is the capacity of the lockstep admission queue
+// (Engine.frames).
+const admitQueue = 16
 
 // inFrame is one decoded request frame awaiting lockstep admission.
 type inFrame struct {
@@ -235,7 +235,8 @@ type inFrame struct {
 // re-presentations of a stalled queue head, paid records that its
 // tenant's token has already been charged (a head held by a memory
 // stall is not re-charged on re-presentation), enq is the enqueue
-// cycle.
+// cycle. data is a write's payload in a buffer the entry owns (see
+// appendReq).
 type pendingReq struct {
 	op       byte
 	seq      uint64
@@ -320,12 +321,10 @@ type Engine struct {
 	drainOnce  sync.Once
 	pruneReq   atomic.Bool
 
-	// pool backs every transient buffer on the data plane: request
-	// payloads (reader → verdict), completion payloads (deliver →
-	// writer) and outgoing frame images (writer). Steady state runs
-	// entirely on recycled buffers — the zero-alloc invariant the
-	// loopback benchmarks gate.
-	pool wire.Pool
+	// pickup is the number of completions the staging slices, the word
+	// slabs and the writer's frame slab are presized for, and word the
+	// memory's word width. See New.
+	pickup, word int
 
 	sessBuf []*session // engine-goroutine scratch
 	touched []*session // sessions with output staged this step
@@ -362,7 +361,7 @@ func New(cfg Config) (*Engine, error) {
 		sessByID:   make(map[uint64]*session),
 		work:       make(chan struct{}, 1),
 		pubDone:    make(chan struct{}, 1),
-		frames:     make(chan inFrame, 16),
+		frames:     make(chan inFrame, admitQueue),
 		done:       make(chan struct{}),
 		loopDone:   make(chan struct{}),
 		drainStart: make(chan struct{}),
@@ -395,18 +394,16 @@ func New(cfg Config) (*Engine, error) {
 		}
 		e.ooo = multichannel.NewStage(cfg.Mem, cfg.OOODepth, e.oooSink, cfg.Metrics)
 	}
-	e.pool.SetCheck(cfg.PoolCheck)
+	// A writer pickup holds the completions delivered since the last
+	// one. Size it for two full delay pipelines (twice the memory's
+	// in-flight capacity, the route ring), so a writer up to 2D cycles
+	// behind the clock finds room; only a pickup beyond that grows the
+	// buffers, to a new high-water mark.
+	e.pickup = 2 * len(e.routeTab)
+	e.word = cfg.Mem.WordBytes()
 	go e.loop()
 	return e, nil
 }
-
-// PoolStats snapshots the engine's buffer pool ledger.
-func (e *Engine) PoolStats() wire.PoolStats { return e.pool.Stats() }
-
-// PoolClean reports buffer-pool hygiene: nil when nothing is live and
-// no double put was ever recorded. Meaningful only under
-// Config.PoolCheck, and only at quiescent points (after a drain).
-func (e *Engine) PoolClean() error { return e.pool.CheckClean() }
 
 // Close stops the clock and closes every session and connection. The
 // memory is left intact (the caller owns it).
@@ -416,28 +413,6 @@ func (e *Engine) Close() error {
 	}
 	close(e.done)
 	<-e.loopDone
-	// Return the pooled payloads of lockstep frames the loop never
-	// admitted. Best effort: a reader blocked on the hand-off select
-	// takes its done branch and releases its own batch.
-	for {
-		select {
-		case fr := <-e.frames:
-			fr.s.releaseBatch(fr.reqs)
-			continue
-		default:
-		}
-		break
-	}
-	// Return the pooled payloads still parked in the out-of-order stage.
-	// The loop goroutine is gone, so the stage is ours to drain.
-	if e.ooo != nil {
-		e.ooo.Drain(func(p *multichannel.Pending) {
-			if p.Data != nil {
-				e.pool.Put(p.Data)
-				p.Data = nil
-			}
-		})
-	}
 	e.mu.Lock()
 	sessions := append([]*session(nil), e.sessions...)
 	e.mu.Unlock()
@@ -730,19 +705,17 @@ func (e *Engine) loop() {
 	}
 }
 
-// admit moves one lockstep frame into its session's queue and returns
-// the hand-off slice to the reader's freelist.
+// admit moves one lockstep frame into its session's queue and hands the
+// slice back to the session's reader.
 func (e *Engine) admit(fr inFrame) {
 	s := fr.s
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.releaseBatch(fr.reqs)
-		return
+	n := 0
+	if !s.closed {
+		n = s.ingestLocked(fr.reqs)
 	}
-	n := s.ingestLocked(fr.reqs)
-	s.freeBatches = append(s.freeBatches, fr.reqs[:0])
 	s.mu.Unlock()
+	s.batches <- fr.reqs[:0]
 	e.pendingTot.Add(int64(n))
 }
 
@@ -825,8 +798,8 @@ func (e *Engine) step() {
 	}
 	// Wake each touched session's writer exactly once, now that every
 	// verdict of the step is staged: the writer drains the whole step's
-	// output in one vectored write instead of being signalled (and
-	// making a syscall) per record.
+	// output in one write instead of being signalled (and making a
+	// syscall) per record.
 	for i, s := range e.touched {
 		s.mu.Lock()
 		s.outDirty = false
@@ -1009,14 +982,15 @@ func (e *Engine) issueFrom(s *session, budget *int, quota int) bool {
 				}
 				idx := e.oooFree[len(e.oooFree)-1]
 				e.oooFree = e.oooFree[:len(e.oooFree)-1]
-				e.oooSlots[idx] = oooSlot{s: s, seq: req.seq, enq: req.enq, attempts: req.attempts}
+				slot := &e.oooSlots[idx]
+				*slot = oooSlot{s: s, seq: req.seq, enq: req.enq, attempts: req.attempts,
+					data: append(slot.data[:0], req.data...)}
 				e.ooo.Admit(multichannel.Pending{
 					Addr:   req.addr,
-					Data:   req.data,
+					Data:   slot.data,
 					Cookie: uint64(idx),
 					Write:  write,
 				})
-				req.data = nil
 				s.inStage++
 				e.stageTot.Add(1)
 				s.popLocked()
@@ -1029,7 +1003,7 @@ func (e *Engine) issueFrom(s *session, budget *int, quota int) bool {
 			}
 			switch {
 			case err == nil:
-				e.acceptedLocked(s, req.seq, req.enq, tag, req.data, write)
+				e.acceptedLocked(s, req.seq, req.enq, tag, write)
 				*budget--
 			case err == multichannel.ErrChannelBusy:
 				// Same-cycle channel collision — the interface analogue of a
@@ -1042,9 +1016,8 @@ func (e *Engine) issueFrom(s *session, budget *int, quota int) bool {
 				if !terminal {
 					return progress
 				}
-				e.retireLocked(s, req.seq, req.data, rep)
+				e.retireLocked(s, req.seq, rep)
 			}
-			req.data = nil
 		default:
 			// The decoder validates opcodes; anything else is a bug.
 			panic(fmt.Sprintf("server: unknown queued opcode %d", req.op))
@@ -1062,18 +1035,18 @@ func (e *Engine) oooSink(p *multichannel.Pending, tag uint64, err error) bool {
 	s := slot.s
 	s.mu.Lock()
 	if err == nil {
-		e.acceptedLocked(s, slot.seq, slot.enq, tag, p.Data, p.Write)
+		e.acceptedLocked(s, slot.seq, slot.enq, tag, p.Write)
 	} else {
 		rep, terminal := e.verdict(err, &slot.attempts, slot.seq)
 		if !terminal {
 			s.mu.Unlock()
 			return false // held at its channel head for next cycle
 		}
-		e.retireLocked(s, slot.seq, p.Data, rep)
+		e.retireLocked(s, slot.seq, rep)
 	}
 	s.inStage--
 	s.mu.Unlock()
-	*slot = oooSlot{}
+	*slot = oooSlot{data: slot.data[:0]}
 	e.oooFree = append(e.oooFree, uint32(p.Cookie))
 	e.stageTot.Add(-1)
 	return true
@@ -1082,7 +1055,7 @@ func (e *Engine) oooSink(p *multichannel.Pending, tag uint64, err error) bool {
 // acceptedLocked books a request the memory accepted: a read's tag is
 // routed back to (s, seq) for delivery D cycles on, a write is
 // acknowledged at once. Called with s.mu held.
-func (e *Engine) acceptedLocked(s *session, seq, enq, tag uint64, data []byte, write bool) {
+func (e *Engine) acceptedLocked(s *session, seq, enq, tag uint64, write bool) {
 	if !write {
 		e.recordRoute(tag, s, seq, enq)
 		s.outstanding++
@@ -1094,9 +1067,7 @@ func (e *Engine) acceptedLocked(s *session, seq, enq, tag uint64, data []byte, w
 	if s.resumable() {
 		s.rememberLocked(seq, doneEntry{write: true})
 	}
-	// The controller copied the payload on accept; the pooled buffer's
-	// work is done.
-	e.retireLocked(s, seq, data, wire.Reply{Status: wire.StatusAccepted, Seq: seq})
+	e.retireLocked(s, seq, wire.Reply{Status: wire.StatusAccepted, Seq: seq})
 }
 
 // verdict is the one refusal table: a tenant throttle, a controller
@@ -1139,13 +1110,12 @@ func (e *Engine) verdict(err error, attempts *int, seq uint64) (rep wire.Reply, 
 	return wire.Reply{}, false
 }
 
-// retireLocked ends a request with a reply: forget the live seq, return
-// the pooled payload, stage the verdict. Called with s.mu held.
-func (e *Engine) retireLocked(s *session, seq uint64, data []byte, rep wire.Reply) {
+// retireLocked ends a request with a reply: forget the live seq, stage
+// the verdict. Called with s.mu held.
+func (e *Engine) retireLocked(s *session, seq uint64, rep wire.Reply) {
 	if s.resumable() {
 		s.resolveLocked(seq)
 	}
-	e.pool.Put(data)
 	s.stageReply(rep)
 	e.noteOut(s)
 }

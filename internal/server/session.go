@@ -73,10 +73,13 @@ type session struct {
 	// its previous batch, which it has finished writing.
 	outData []byte
 
-	// freeBatches recycles the lockstep reader's hand-off slices: the
-	// reader takes one, fills it, and sends it to the engine, which
-	// returns it after admission. Guarded by s.mu.
-	freeBatches [][]pendingReq
+	// batches cycles the lockstep reader's hand-off slices: the reader
+	// takes one, fills it and sends it to the engine, which hands it
+	// back after admission. The session starts with as many as can be
+	// out at once (the admission queue plus the one being filled), and
+	// the channel cycles them in FIFO order, so each has grown to the
+	// working frame size long before steady state. Nil unless Lockstep.
+	batches chan []pendingReq
 
 	// outDirty marks the session as having staged output the engine has
 	// not yet signalled; set via Engine.noteOut during a step, cleared
@@ -98,9 +101,17 @@ func newSession(e *Engine, id uint64, tenantName string) *session {
 		live:     make(map[uint64]struct{}),
 		done:     make(map[uint64]doneEntry),
 		thrCycle: ^uint64(0),
+		outComps: make([]wire.Completion, 0, e.pickup),
+		outData:  make([]byte, 0, e.pickup*e.word),
 	}
 	s.rcond = sync.NewCond(&s.mu)
 	s.wcond = sync.NewCond(&s.mu)
+	if e.cfg.Lockstep {
+		s.batches = make(chan []pendingReq, admitQueue+1)
+		for range admitQueue + 1 {
+			s.batches <- nil
+		}
+	}
 	if e.reg != nil {
 		s.tenant = e.reg.Tenant(tenantName)
 	}
@@ -111,6 +122,24 @@ func (s *session) resumable() bool { return s.id != 0 }
 
 func (s *session) queuedLocked() int { return len(s.pending) - s.head }
 
+// appendReq appends req to q, copying req.data into the payload buffer
+// of the entry it lands on. Every pendingReq owns its payload buffer
+// for life: a reused entry keeps its buffer's capacity, and no two
+// entries ever share an array, so a hand-off from batch to queue copies
+// the word and never transfers ownership.
+func appendReq(q []pendingReq, req pendingReq) []pendingReq {
+	if len(q) < cap(q) {
+		q = q[:len(q)+1]
+	} else {
+		q = append(q, pendingReq{})
+	}
+	dst := &q[len(q)-1]
+	buf := dst.data[:0]
+	*dst = req
+	dst.data = append(buf, req.data...)
+	return q
+}
+
 // popLocked removes the queue head. Called with s.mu held.
 func (s *session) popLocked() {
 	s.head++
@@ -118,7 +147,12 @@ func (s *session) popLocked() {
 		s.pending = s.pending[:0]
 		s.head = 0
 	} else if s.head > 256 && s.head*2 > len(s.pending) {
-		n := copy(s.pending, s.pending[s.head:])
+		// Compact by swapping, not copying: a copy would leave the tail
+		// slots aliasing the payload buffers of the entries moved down.
+		n := len(s.pending) - s.head
+		for i := 0; i < n; i++ {
+			s.pending[i], s.pending[s.head+i] = s.pending[s.head+i], s.pending[i]
+		}
 		s.pending = s.pending[:n]
 		s.head = 0
 	}
@@ -162,7 +196,7 @@ func (s *session) rememberLocked(seq uint64, ent doneEntry) {
 // writer. The caller decides when to signal: the engine marks the
 // session touched (Engine.noteOut) and signals every touched session
 // once at the end of the step — that coalescing is what lets the writer
-// ship a whole step's verdicts in one vectored write — while
+// ship a whole step's verdicts in one write — while
 // conn-goroutine paths (drain refusals, replay cache hits) signal
 // immediately themselves. All three are called with s.mu held.
 
@@ -182,39 +216,6 @@ func (s *session) stageComp(comp wire.Completion, data []byte) {
 
 func (s *session) stageStats(st wire.Stats) {
 	s.outStats = append(s.outStats, st)
-}
-
-// getBatch returns a recycled hand-off slice (lockstep mode only).
-func (s *session) getBatch() []pendingReq {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if n := len(s.freeBatches); n > 0 {
-		b := s.freeBatches[n-1]
-		s.freeBatches[n-1] = nil
-		s.freeBatches = s.freeBatches[:n-1]
-		return b[:0]
-	}
-	return nil
-}
-
-// putBatch files a hand-off slice for reuse. The queued copies own any
-// pooled payloads by now, so the slice is returned as bare capacity.
-func (s *session) putBatch(b []pendingReq) {
-	if cap(b) == 0 {
-		return
-	}
-	s.mu.Lock()
-	s.freeBatches = append(s.freeBatches, b[:0])
-	s.mu.Unlock()
-}
-
-// releaseBatch abandons a filled batch that never reached the queue,
-// returning its pooled payloads. Used on the reader's failure paths.
-func (s *session) releaseBatch(b []pendingReq) {
-	for i := range b {
-		s.e.pool.Put(b[i].data)
-		b[i].data = nil
-	}
 }
 
 // ingestLocked screens one decoded batch through the replay cache and
@@ -237,9 +238,8 @@ func (s *session) ingestLocked(batch []pendingReq) int {
 			if _, alive := s.live[req.seq]; alive {
 				// Still queued or in the memory: the original will
 				// resolve through this session's output. Swallow the
-				// replay entirely — its payload copy goes straight back.
+				// replay entirely.
 				s.e.ctr.replaysDeduped.Add(1)
-				s.e.pool.Put(req.data)
 				continue
 			}
 			if ent, ok := s.done[req.seq]; ok {
@@ -248,7 +248,6 @@ func (s *session) ingestLocked(batch []pendingReq) int {
 				// once however many times the network made the client
 				// send it.
 				s.e.ctr.replaysServed.Add(1)
-				s.e.pool.Put(req.data)
 				if ent.write {
 					s.stageReply(wire.Reply{Status: wire.StatusAccepted, Seq: req.seq})
 				} else {
@@ -260,7 +259,7 @@ func (s *session) ingestLocked(batch []pendingReq) int {
 			s.live[req.seq] = struct{}{}
 		}
 		req.enq = cycle
-		s.pending = append(s.pending, req)
+		s.pending = appendReq(s.pending, req)
 		if s.tenant != nil {
 			s.tenant.NoteQueued(1)
 		}
@@ -332,11 +331,8 @@ func (s *session) detach(c *conn, err error) {
 		if s.tenant != nil && dropped > 0 {
 			s.tenant.NoteQueued(int64(-dropped))
 		}
-		for i := range s.pending[s.head:] {
-			req := &s.pending[s.head+i]
+		for _, req := range s.pending[s.head:] {
 			delete(s.live, req.seq)
-			s.e.pool.Put(req.data)
-			req.data = nil
 		}
 		s.pending = s.pending[:0]
 		s.head = 0
@@ -371,8 +367,8 @@ func (s *session) releaseOutputLocked() {
 	s.outData = s.outData[:0]
 }
 
-// shutdown closes the session for engine teardown, returning the
-// pooled write payloads it still queues and dropping staged output.
+// shutdown closes the session for engine teardown, dropping staged
+// output.
 func (s *session) shutdown() {
 	s.mu.Lock()
 	s.closed = true
@@ -381,11 +377,6 @@ func (s *session) shutdown() {
 		s.cur.nc.Close()
 		s.cur = nil
 		s.e.attached.Add(-1)
-	}
-	for i := range s.pending[s.head:] {
-		req := &s.pending[s.head+i]
-		s.e.pool.Put(req.data)
-		req.data = nil
 	}
 	s.releaseOutputLocked()
 	s.rcond.Broadcast()

@@ -17,7 +17,6 @@ import (
 	"repro/internal/qos"
 	"repro/internal/server"
 	"repro/internal/telemetry"
-	"repro/internal/wire"
 )
 
 // NetChaosOptions configures an end-to-end tenant-isolation run over a
@@ -79,10 +78,6 @@ type NetChaosResult struct {
 	Net fault.NetCounters
 	// Delay is the fixed D the engine advertised.
 	Delay int
-	// ServerPool, VictimPool and AttackerPool are the buffer-pool
-	// ledgers after drain, captured with check mode armed: a run that
-	// leaked a pooled frame or freed one twice is a violation.
-	ServerPool, VictimPool, AttackerPool wire.PoolStats
 	// Violations lists every invariant breach, capped at MaxViolations.
 	Violations []string
 }
@@ -109,10 +104,6 @@ func (r *NetChaosResult) String() string {
 	fmt.Fprintf(&b, "net: reads=%d writes=%d partial=%d frag=%d delays=%d drops=%d resets=%d\n",
 		r.Net.Reads, r.Net.Writes, r.Net.PartialReads, r.Net.Fragments,
 		r.Net.Delays, r.Net.Drops, r.Net.Resets)
-	fmt.Fprintf(&b, "pools: server{gets=%d live=%d dbl=%d} victim{gets=%d live=%d dbl=%d} attacker{gets=%d live=%d dbl=%d}\n",
-		r.ServerPool.Gets, r.ServerPool.Live, r.ServerPool.DoublePuts,
-		r.VictimPool.Gets, r.VictimPool.Live, r.VictimPool.DoublePuts,
-		r.AttackerPool.Gets, r.AttackerPool.Live, r.AttackerPool.DoublePuts)
 	if r.Ok() {
 		fmt.Fprintf(&b, "invariants: all held")
 	} else {
@@ -309,7 +300,7 @@ func RunNetChaos(opts NetChaosOptions) (*NetChaosResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng, err := server.New(server.Config{Mem: mem, QoS: reg, Window: window, PoolCheck: true})
+	eng, err := server.New(server.Config{Mem: mem, QoS: reg, Window: window})
 	if err != nil {
 		return nil, err
 	}
@@ -336,7 +327,6 @@ func RunNetChaos(opts NetChaosOptions) (*NetChaosResult, error) {
 			Tenant:         tenant,
 			Dialer:         d.dial,
 			Window:         window,
-			PoolCheck:      true,
 			RequestTimeout: reqTimeout,
 			MaxReconnects:  -1, // the weather cuts repeatedly; the listener is always up
 			BackoffBase:    time.Millisecond,
@@ -542,32 +532,5 @@ func RunNetChaos(opts NetChaosOptions) (*NetChaosResult, error) {
 	if res.Net.PartialReads+res.Net.Fragments+res.Net.Delays+res.Net.Drops+res.Net.Resets == 0 {
 		violate("fault injector never fired — the run proved nothing")
 	}
-
-	// Pool hygiene: check mode is armed on the engine and both clients,
-	// so every pooled frame buffer the run touched is tracked by
-	// identity. The reconnects and mid-frame cuts above must not leak
-	// one or free one twice. Conns the weather killed release their
-	// buffers from goroutines the drain does not join, so stragglers
-	// get a grace period before the run is ruled dirty.
-	poolClean := func(name string, clean func() error) {
-		deadline := time.Now().Add(2 * time.Second)
-		for {
-			err := clean()
-			if err == nil {
-				return
-			}
-			if time.Now().After(deadline) {
-				violate("%s buffer pool dirty after drain: %v", name, err)
-				return
-			}
-			time.Sleep(5 * time.Millisecond)
-		}
-	}
-	poolClean("server", eng.PoolClean)
-	poolClean("victim", victim.PoolClean)
-	poolClean("attacker", attacker.PoolClean)
-	res.ServerPool = eng.PoolStats()
-	res.VictimPool = victim.PoolStats()
-	res.AttackerPool = attacker.PoolStats()
 	return res, nil
 }

@@ -267,7 +267,7 @@ type Frame struct {
 // steady-state encoding is allocation-free once the buffer has grown to
 // the working frame size. Callers that batch several frames into one
 // syscall (the data-plane hot path) skip the Encoder and use Append*
-// with pooled buffers directly.
+// into a buffer they own directly.
 type Encoder struct {
 	w   io.Writer
 	buf []byte
@@ -287,10 +287,10 @@ func checkBatch(n int) error {
 // included — onto the end of dst and return the extended slice, exactly
 // the bytes the corresponding Encoder method would have written. They
 // are the allocation-free core of the codec: given a dst with enough
-// capacity (see the Size* functions, typically a pooled buffer from
-// Pool.Get), they never allocate. On a validation error dst is returned
-// truncated to its original length, so a partially appended frame never
-// leaks into the stream.
+// capacity (see the Size* functions; on the data plane, a buffer its
+// writer reuses for every batch), they never allocate. On a validation
+// error dst is returned truncated to its original length, so a
+// partially appended frame never leaks into the stream.
 
 // appendHeader opens a frame: a zero length prefix to be patched by
 // finishFrame, then the fixed payload header.
@@ -335,6 +335,11 @@ func SizeCompletions(comps []Completion) int {
 	}
 	return n
 }
+
+// SizeWordCompletions returns the exact encoded size of a
+// FrameCompletions frame carrying n completions of word bytes each,
+// length prefix included.
+func SizeWordCompletions(n, word int) int { return lenPrefix + headerLen + n*(compFixed+word) }
 
 // SizeStats is the exact encoded size of a FrameStats frame.
 const SizeStats = lenPrefix + headerLen + statsLen
@@ -703,4 +708,12 @@ func decodeCompletions(b []byte, count int, f *Frame) ([]byte, error) {
 		f.Completions = append(f.Completions, c)
 	}
 	return b, nil
+}
+
+// PoolStats is the ledger of the retired frame-buffer pool. Nothing
+// fills it any more, so it is always zero. It stays only because the
+// wall-clock benchmark (benchmark/run.go) still compiles against it
+// through client.Client.PoolStats.
+type PoolStats struct {
+	Gets, Misses uint64
 }

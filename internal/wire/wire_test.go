@@ -232,3 +232,118 @@ func TestEncodeRejectsOversize(t *testing.T) {
 		t.Error("oversized data accepted")
 	}
 }
+
+// TestAppendMatchesEncoder pins the Append* functions to the Encoder
+// byte for byte: the stream a batching writer builds from pooled
+// buffers must be indistinguishable from the classic per-frame path.
+func TestAppendMatchesEncoder(t *testing.T) {
+	reqs := []Request{
+		{Op: OpRead, Seq: 1, Addr: 42},
+		{Op: OpWrite, Seq: 2, Addr: 43, Data: []byte("payload")},
+		{Op: OpFlush, Seq: 3},
+		{Op: OpStats, Seq: 4},
+	}
+	reps := []Reply{
+		{Status: StatusAccepted, Seq: 2},
+		{Status: StatusStall, Code: CodeBankQueue, Seq: 5},
+	}
+	comps := []Completion{
+		{Seq: 1, Addr: 42, IssuedAt: 7, DeliveredAt: 19, Data: []byte{1, 2, 3, 4, 5, 6, 7, 8}},
+		{Seq: 9, Addr: 40, IssuedAt: 8, DeliveredAt: 20, Flags: FlagUncorrectable, Data: []byte{0xFF}},
+	}
+	st := Stats{Seq: 4, Cycle: 99, Delay: 12, Reads: 3}
+	hello := Hello{SessionID: 0xDEAD, Tenant: "tenant-a"}
+
+	var want bytes.Buffer
+	enc := NewEncoder(&want)
+	if err := enc.Hello(hello); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Requests(5, reqs); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Replies(6, reps); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Completions(7, comps); err != nil {
+		t.Fatal(err)
+	}
+	if err := enc.Stats(8, st); err != nil {
+		t.Fatal(err)
+	}
+
+	var got []byte
+	var err error
+	for _, step := range []func([]byte) ([]byte, error){
+		func(b []byte) ([]byte, error) { return AppendHello(b, hello) },
+		func(b []byte) ([]byte, error) { return AppendRequests(b, 5, reqs) },
+		func(b []byte) ([]byte, error) { return AppendReplies(b, 6, reps) },
+		func(b []byte) ([]byte, error) { return AppendCompletions(b, 7, comps) },
+		func(b []byte) ([]byte, error) { return AppendStats(b, 8, st) },
+	} {
+		if got, err = step(got); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !bytes.Equal(got, want.Bytes()) {
+		t.Fatalf("Append* stream (%d bytes) differs from Encoder stream (%d bytes)", len(got), want.Len())
+	}
+}
+
+// TestAppendErrorRestoresDst verifies a failed Append leaves dst exactly
+// as it was, so a batching writer can keep appending after a rejection.
+func TestAppendErrorRestoresDst(t *testing.T) {
+	dst, err := AppendReplies(nil, 1, []Reply{{Status: StatusAccepted, Seq: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := append([]byte(nil), dst...)
+
+	big := make([]byte, MaxData+1)
+	dst2, err := AppendRequests(dst, 2, []Request{{Op: OpWrite, Seq: 9, Data: big}})
+	if err == nil {
+		t.Fatal("oversized request data must fail")
+	}
+	if !bytes.Equal(dst2[:len(before)], before) || len(dst2) != len(before) {
+		t.Fatalf("failed Append mutated dst: len %d, want %d", len(dst2), len(before))
+	}
+
+	if _, err := AppendCompletions(dst2, 3, nil); err == nil {
+		t.Fatal("empty batch must fail")
+	}
+}
+
+// TestSizeFunctions pins Size* against the encoded output.
+func TestSizeFunctions(t *testing.T) {
+	reqs := []Request{{Op: OpRead, Seq: 1}, {Op: OpWrite, Seq: 2, Data: []byte("abcd")}}
+	b, err := AppendRequests(nil, 1, reqs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := SizeRequests(reqs); got != len(b) {
+		t.Fatalf("SizeRequests = %d, want %d", got, len(b))
+	}
+
+	reps := []Reply{{Status: StatusAccepted, Seq: 1}, {Status: StatusDropped, Code: CodeDraining, Seq: 2}, {Status: StatusFlushed, Seq: 3}}
+	if b, err = AppendReplies(nil, 1, reps); err != nil {
+		t.Fatal(err)
+	}
+	if got := SizeReplies(len(reps)); got != len(b) {
+		t.Fatalf("SizeReplies = %d, want %d", got, len(b))
+	}
+
+	comps := []Completion{{Seq: 1, Data: make([]byte, 8)}, {Seq: 2, Data: make([]byte, 16)}}
+	if b, err = AppendCompletions(nil, 1, comps); err != nil {
+		t.Fatal(err)
+	}
+	if got := SizeCompletions(comps); got != len(b) {
+		t.Fatalf("SizeCompletions = %d, want %d", got, len(b))
+	}
+
+	if b, err = AppendStats(nil, 1, Stats{}); err != nil {
+		t.Fatal(err)
+	}
+	if SizeStats != len(b) {
+		t.Fatalf("SizeStats = %d, want %d", SizeStats, len(b))
+	}
+}
